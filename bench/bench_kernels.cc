@@ -10,8 +10,11 @@
  * scalar group sweep vs VPSHUFB shuffle vs VPERMB+VPDPBUSD dot — the
  * c=16 shuffle-vs-scalar pair is the PR-5 acceptance comparison — and the
  * nibble-packed INT4-bank gather at its forced variants for the
- * bytes-halved-vs-unpack-cost comparison against INT8 and float). These
- * are software-kernel timings (host CPU), complementing the cycle
+ * bytes-halved-vs-unpack-cost comparison against INT8 and float), plus
+ * one serving row tile on the INT4-table + INT8-encode plan at the
+ * resnet18 hot shape, fused (encode straight into the gather's planar
+ * code lanes) next to split (through a packed CodeBuffer). These are
+ * software-kernel timings (host CPU), complementing the cycle
  * simulator's hardware numbers.
  *
  * Run: ./build/bench/bench_kernels [--json <path>] [google-benchmark args]
@@ -74,7 +77,7 @@ struct ArenaFixture
     {
         arena.ensureInt8Bank();
         arena.ensureInt4Bank();
-        arena.encodeBatch(fx.a.data(), m, scratch.codes, scratch.staging);
+        arena.encodeBatch(fx.a.data(), m, scratch.codes, scratch.encode);
     }
 
     KernelFixture fx;
@@ -141,7 +144,7 @@ BM_ArenaEncodeBatch(benchmark::State &state)
                     16);
     for (auto _ : state) {
         ax.arena.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0),
-                             ax.scratch.codes, ax.scratch.staging);
+                             ax.scratch.codes, ax.scratch.encode);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -188,7 +191,7 @@ encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
     ax.arena.ensureInt8EncodeBank();
     for (auto _ : state) {
         ax.arena.encodeBatchInt8(ax.fx.a.data(), ax.fx.a.dim(0),
-                                 ax.scratch.codes, ax.scratch.staging,
+                                 ax.scratch.codes, ax.scratch.encode,
                                  variant);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
@@ -343,6 +346,49 @@ BM_ArenaGatherInt4ShuffleAvx2(benchmark::State &state)
     gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx2);
 }
 
+/**
+ * One row tile on the INT4-table + INT8-encode plan, the way the serving
+ * executor runs it. Fused: KernelBackend::forwardTile, which encodes each
+ * chunk straight into the shuffle gather's planar code lanes. Split: the
+ * same encode and gather through a packed CodeBuffer (encodeBatch +
+ * gatherAccumulate). Registered at the resnet18 hot shape (K=4608,
+ * N=512, v=8, c=16, one 64-row tile); both yield identical outputs.
+ */
+void
+tileInt4Int8Enc(benchmark::State &state, bool fused)
+{
+    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 8, 16);
+    ax.arena.ensureInt8EncodeBank();
+    const lutboost::KernelBackend &backend = lutboost::int4Backend();
+    const int64_t rows = ax.fx.a.dim(0);
+    for (auto _ : state) {
+        if (fused) {
+            backend.forwardTile(ax.arena, ax.fx.a.data(), rows, ax.y.data(),
+                                ax.scratch, nullptr, nullptr,
+                                lutboost::EncodePrecision::Int8);
+        } else {
+            backend.encodeBatch(ax.arena, ax.fx.a.data(), rows, ax.scratch,
+                                lutboost::EncodePrecision::Int8);
+            backend.gatherAccumulate(ax.arena, ax.scratch, ax.y.data());
+        }
+        benchmark::DoNotOptimize(ax.y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows);
+}
+
+void
+BM_ArenaTileInt4Int8EncFused(benchmark::State &state)
+{
+    tileInt4Int8Enc(state, true);
+}
+
+void
+BM_ArenaTileInt4Int8EncSplit(benchmark::State &state)
+{
+    tileInt4Int8Enc(state, false);
+}
+
 } // namespace
 
 BENCHMARK(BM_ExactGemm)
@@ -420,6 +466,13 @@ BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)
 BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)
     ->Args({128, 256, 256})
     ->Args({256, 512, 512})
+    ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK(BM_ArenaTileInt4Int8EncSplit)
+    ->Args({64, 4608, 512})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArenaTileInt4Int8EncFused)
+    ->Args({64, 4608, 512})
     ->Unit(benchmark::kMicrosecond);
 
 int

@@ -1,5 +1,6 @@
 #include "lutboost/kernels.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "lutboost/kernels_simd.h"
@@ -18,15 +19,11 @@ nanosSince(std::chrono::steady_clock::time_point start)
             .count());
 }
 
-/** Shuffle chunk when the vector kernels dispatch, else the float/scalar
- * sweeps' row-block granularity. */
+/** Shuffle chunk rows of the vector gather kernels on this CPU. */
 int64_t
-chunkOrRowBlock(bool scalar)
+shuffleChunkRows()
 {
-    if (scalar)
-        return LutTableArena::kRowBlock;
-    const int64_t chunk = simd::shuffleGatherChunkRows(util::simdLevel());
-    return chunk > 0 ? chunk : LutTableArena::kRowBlock;
+    return simd::shuffleGatherChunkRows(util::simdLevel());
 }
 
 /** True when the arena can honor an Int8 encode request; unsupported
@@ -57,10 +54,10 @@ KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
     // encode bank), independent of the gather-side table precision.
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
-        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.staging);
+        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode);
         return;
     }
-    arena.encodeBatch(x, rows, scratch.codes, scratch.staging);
+    arena.encodeBatch(x, rows, scratch.codes, scratch.encode);
 }
 
 void
@@ -78,10 +75,10 @@ KernelBackend::encodeBlock(const LutTableArena &arena, const float *x,
 {
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
-        arena.encodeBlockInt8(x, row0, rows, codes, local.staging);
+        arena.encodeBlockInt8(x, row0, rows, codes, local.encode);
         return;
     }
-    arena.encodeBlock(x, row0, rows, codes, local.staging);
+    arena.encodeBlock(x, row0, rows, codes, local.encode);
 }
 
 void
@@ -97,21 +94,53 @@ KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
                            uint64_t *encode_ns, uint64_t *gather_ns,
                            EncodePrecision encode) const
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    encodeBatch(arena, x, rows, scratch, encode);
-    if (encode_ns != nullptr)
-        *encode_ns += nanosSince(t0);
-    const auto t1 = std::chrono::steady_clock::now();
-    gatherAccumulate(arena, scratch, y);
-    if (gather_ns != nullptr)
-        *gather_ns += nanosSince(t1);
+    const PlanarGather planar_gather = planarGather(arena);
+    const int64_t chunk = planar_gather.chunk;
+    if (chunk == 0) {
+        const auto t0 = std::chrono::steady_clock::now();
+        encodeBatch(arena, x, rows, scratch, encode);
+        if (encode_ns != nullptr)
+            *encode_ns += nanosSince(t0);
+        const auto t1 = std::chrono::steady_clock::now();
+        gatherAccumulate(arena, scratch, y);
+        if (gather_ns != nullptr)
+            *gather_ns += nanosSince(t1);
+        return;
+    }
+    // Fused: the encode kernels write each chunk's codes straight into
+    // the gather's planar lanes (the CCM -> IMM hand-off of the paper's
+    // pipeline), so codes never round-trip through a packed CodeBuffer.
+    const bool int8 = useInt8Encode(arena, encode);
+    if (int8)
+        arena.ensureInt8EncodeBank();
+    const int64_t k = arena.inFeatures(), n = arena.outFeatures();
+    std::vector<uint8_t> &planar = scratch.gather.planar;
+    planar.resize(static_cast<size_t>(arena.numSubspaces() * chunk));
+    for (int64_t r0 = 0; r0 < rows; r0 += chunk) {
+        const int64_t m = std::min(chunk, rows - r0);
+        const auto t0 = std::chrono::steady_clock::now();
+        if (int8)
+            arena.encodePlanarInt8(x + r0 * k, m, planar.data(), chunk,
+                                   scratch.encode);
+        else
+            arena.encodePlanar(x + r0 * k, m, planar.data(), chunk,
+                               scratch.encode);
+        if (encode_ns != nullptr)
+            *encode_ns += nanosSince(t0);
+        const auto t1 = std::chrono::steady_clock::now();
+        planar_gather.gather(arena, m, y + r0 * n, scratch.gather);
+        if (gather_ns != nullptr)
+            *gather_ns += nanosSince(t1);
+    }
 }
 
 int64_t
-KernelBackend::gatherGranuleRows(const LutTableArena &) const
+KernelBackend::gatherGranuleRows(const LutTableArena &arena) const
 {
-    // Float grouped sweep: one table pass per kRowBlock rows.
-    return LutTableArena::kRowBlock;
+    // One shuffle chunk when a vector gather kernel runs, else one table
+    // pass per kRowBlock rows (float grouped sweep, scalar group sweeps).
+    const int64_t chunk = planarGather(arena).chunk;
+    return chunk > 0 ? chunk : LutTableArena::kRowBlock;
 }
 
 void
@@ -165,11 +194,16 @@ class QuantizedBackend final : public KernelBackend
         return arena.int8TableBytes();
     }
 
-    int64_t
-    gatherGranuleRows(const LutTableArena &arena) const override
+    PlanarGather
+    planarGather(const LutTableArena &arena) const override
     {
-        return chunkOrRowBlock(arena.int8AutoVariant() ==
-                               Int8GatherVariant::Scalar);
+        if (arena.int8AutoVariant() == Int8GatherVariant::Scalar)
+            return {};
+        return {shuffleChunkRows(),
+                [](const LutTableArena &a, int64_t rows, float *y,
+                   GatherScratch &scratch) {
+                    a.gatherPlanarInt8(rows, y, scratch);
+                }};
     }
 
     int64_t
@@ -207,11 +241,16 @@ class Int4Backend final : public KernelBackend
         return arena.int4TableBytes();
     }
 
-    int64_t
-    gatherGranuleRows(const LutTableArena &arena) const override
+    PlanarGather
+    planarGather(const LutTableArena &arena) const override
     {
-        return chunkOrRowBlock(arena.int4AutoVariant() ==
-                               Int4GatherVariant::Scalar);
+        if (arena.int4AutoVariant() == Int4GatherVariant::Scalar)
+            return {};
+        return {shuffleChunkRows(),
+                [](const LutTableArena &a, int64_t rows, float *y,
+                   GatherScratch &scratch) {
+                    a.gatherPlanarInt4(rows, y, scratch);
+                }};
     }
 
     int64_t

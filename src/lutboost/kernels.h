@@ -70,18 +70,18 @@ prefetchSpan(const void *p, int64_t bytes)
 /**
  * Reusable per-caller buffers for one in-flight batch of kernel calls:
  * the packed code buffer the encode phase fills and the gather phase
- * reads, plus the float staging planes (BF16 rounding, fused width
- * adaptation) and the gather-side scratch (unpacked codes, planar code
- * lanes, shuffle accumulators). Owned by the serving StageScratch so
- * steady-state batches perform no allocations. When a batch is sharded
- * across workers, the CodeBuffer of the INITIATING worker is shared
- * (disjoint row spans never race) while each participant brings its own
- * staging/gather scratch.
+ * reads, the encode-side scratch (BF16 staging, ragged-tail padding, code
+ * planes), the fused width-adaptation plane, and the gather-side scratch
+ * (unpacked codes, planar code lanes, shuffle accumulators). Owned by the
+ * serving StageScratch so steady-state batches perform no allocations.
+ * When a batch is sharded across workers, the CodeBuffer of the
+ * INITIATING worker is shared (disjoint row spans never race) while each
+ * participant brings its own encode/gather scratch.
  */
 struct KernelScratch
 {
     vq::CodeBuffer codes;        ///< bit-packed [rows, Nc] indices
-    std::vector<float> staging;  ///< BF16-rounded input rows
+    EncodeScratch encode;        ///< staging / padding / code planes
     std::vector<float> adapted;  ///< width-adapted input rows
     GatherScratch gather;        ///< unpacked / planar / colmajor scratch
 };
@@ -123,7 +123,7 @@ class KernelBackend
     /**
      * Encode phase: argmin-encode `rows` rows of `x` (arena.inFeatures()
      * wide) into scratch.codes at the arena's packed code width. Applies
-     * the arena's BF16 input rounding via scratch.staging. `encode`
+     * the arena's BF16 input rounding via scratch.encode. `encode`
      * selects the argmin arithmetic: Float32 is the exact scan; Int8
      * routes through the arena's quantized encode bank when the arena
      * supports it (L2 metric) and silently falls back to the exact scan
@@ -162,12 +162,16 @@ class KernelBackend
 
     /**
      * Fused tile entry point for the row-tiled segment executor: encode
-     * `rows` contiguous rows of `x` and immediately gather them into `y`
-     * in one call, so the tile's packed codes never leave cache between
-     * the phases. Phase wall times are accumulated into *encode_ns /
-     * *gather_ns (either may be null). Bit-exact with a separate
-     * encodeBatch + gatherAccumulate pair by construction — it IS that
-     * pair, minus the full-batch barrier between them.
+     * `rows` contiguous rows of `x` and immediately gather them into `y`.
+     * When this backend's gather runs a shuffle/VNNI chunk kernel for the
+     * arena (planarGather().chunk > 0), each chunk is encoded straight
+     * into the gather's planar code lanes and gathered from there — no
+     * CodeBuffer pack or unpack. Otherwise it is the encodeBatch +
+     * gatherAccumulate pair. Phase wall times are accumulated per chunk
+     * into *encode_ns / *gather_ns (either may be null). Bit-exact with a
+     * separate encodeBatch + gatherAccumulate pair: every encode tier
+     * selects the same codes and every gather variant of a bank yields
+     * the same bits.
      */
     void forwardTile(const LutTableArena &arena, const float *x,
                      int64_t rows, float *y, KernelScratch &scratch,
@@ -176,14 +180,37 @@ class KernelBackend
         const;
 
     /**
-     * Rows one full sweep of this backend's table bank covers: kRowBlock
-     * (256) for the float bank's grouped sweep and for the scalar
-     * quantized paths, one shuffle-gather chunk (64 on AVX-512, 32 on
-     * AVX2) for the vectorized INT8/INT4 banks. Row tiles that are a
-     * multiple of this granule add NO extra table traffic versus the
-     * untiled sweep — the planner's tile-size model rounds to it.
+     * A backend's planar chunk gather for one arena: the rows of one
+     * fused encode -> gather chunk (64 on AVX-512, 32 on AVX2) and the
+     * gather that consumes a chunk's [Nc, chunk] code lanes from
+     * scratch.planar, filling `rows` (<= chunk) rows of `y`, bias
+     * included. chunk == 0 (and a null gather) means the backend has no
+     * chunk kernel for the arena, so forwardTile never fuses.
      */
-    virtual int64_t gatherGranuleRows(const LutTableArena &arena) const;
+    struct PlanarGather
+    {
+        int64_t chunk = 0;
+        void (*gather)(const LutTableArena &arena, int64_t rows, float *y,
+                       GatherScratch &scratch) = nullptr;
+    };
+
+    /** This backend's planar chunk gather for `arena`; none by default. */
+    virtual PlanarGather
+    planarGather(const LutTableArena &) const
+    {
+        return {};
+    }
+
+    /**
+     * Rows one full sweep of this backend's table bank covers: one
+     * shuffle-gather chunk (planarGather().chunk: 64 on AVX-512, 32 on
+     * AVX2) for the vectorized INT8/INT4 banks, else kRowBlock (256) —
+     * the float bank's grouped sweep and the scalar quantized paths. Row
+     * tiles that are a multiple of this granule add NO extra table
+     * traffic versus the untiled sweep — the planner's tile-size model
+     * rounds to it.
+     */
+    int64_t gatherGranuleRows(const LutTableArena &arena) const;
 
     /**
      * Shardable gather span: fill output rows [row0, row0 + rows) of `y`

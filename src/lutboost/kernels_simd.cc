@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "lutboost/table_arena.h"
 #include "util/logging.h"
 
 namespace lutdla::lutboost::simd {
@@ -98,18 +99,20 @@ argminL2C16Avx2(const float *__restrict__ sub,
 
 __attribute__((target("avx512f"))) void
 encodeL2C16RowsAvx512(const float *x, int64_t rows, int64_t stride,
-                      const float *cbt, int64_t v, int32_t *codes)
+                      const float *cbt, int64_t v, uint8_t *codes)
 {
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2C16Avx512(x + i * stride, cbt, v);
+        codes[i] =
+            static_cast<uint8_t>(argminL2C16Avx512(x + i * stride, cbt, v));
 }
 
 __attribute__((target("avx2"))) void
 encodeL2C16RowsAvx2(const float *x, int64_t rows, int64_t stride,
-                    const float *cbt, int64_t v, int32_t *codes)
+                    const float *cbt, int64_t v, uint8_t *codes)
 {
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2C16Avx2(x + i * stride, cbt, v);
+        codes[i] =
+            static_cast<uint8_t>(argminL2C16Avx2(x + i * stride, cbt, v));
 }
 
 /** Scalar distance + argmin scan for generic c (NaN fallback). Same op
@@ -250,92 +253,178 @@ argminL2GenericAvx2(const float *__restrict__ sub,
 __attribute__((target("avx512f"))) void
 encodeL2GenericRowsAvx512(const float *x, int64_t rows, int64_t stride,
                           const float *cbt, int64_t v, int64_t c,
-                          int32_t *codes)
+                          uint8_t *codes)
 {
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2GenericAvx512(x + i * stride, cbt, v, c);
+        codes[i] = static_cast<uint8_t>(
+            argminL2GenericAvx512(x + i * stride, cbt, v, c));
 }
 
 __attribute__((target("avx2"))) void
 encodeL2GenericRowsAvx2(const float *x, int64_t rows, int64_t stride,
                         const float *cbt, int64_t v, int64_t c,
-                        int32_t *codes)
+                        uint8_t *codes)
 {
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2GenericAvx2(x + i * stride, cbt, v, c);
+        codes[i] = static_cast<uint8_t>(
+            argminL2GenericAvx2(x + i * stride, cbt, v, c));
+}
+
+/** Bytes one staged row occupies in the INT8 encode kernels' quantize
+ * buffer: a whole v <= 128 subvector, so every row starts a fresh line. */
+constexpr int64_t kEncodePitch = 128;
+
+/**
+ * Index-tagged score of centroid j for the INT8 encode's vertical argmin:
+ * key = (norm_j - 2 * dot) * 16 + j = (16 * norm_j + j) - 32 * dot. Since
+ * 0 <= j < 16, key_a < key_b exactly when score_a < score_b, or the
+ * scores tie and j_a < j_b — so a plain running MIN over keys is the
+ * scalar reference's strict-< lowest-index argmin, and the winning code
+ * is the key's low nibble. |score| <= v * (127^2 + 2 * 127 * 128) <
+ * 6.3M for v <= 128, so a key never leaves int32.
+ */
+inline int32_t
+encodeKeyBase(const int32_t *norms, int64_t j)
+{
+    return norms[j] * 16 + static_cast<int32_t>(j);
 }
 
 /**
- * INT8 argmin-encode, VNNI tier. Per row: quantize the subvector onto
- * the bank's 7-bit grid in masked 16-float chunks (sub, mul, clamp via
- * max/min — MAXPS(t, 0) returns 0 for NaN, matching the scalar
- * reference's `t > 0 ? t : 0` — then CVTPS2DQ under the default
- * round-to-nearest-even mode, matching std::nearbyint), then one
- * VPDPBUSD per dim-quad folds x_u (unsigned) against c_s (signed) for
- * all 16 centroid lanes at once. Bytes past v in the last chunk hold the
- * quantization of 0.0f; the bank's quad layout stores 0 there, so they
- * contribute nothing — the scalar reference simply never reads them.
+ * Quantize 16 floats onto a subspace's 7-bit encode grid and narrow them
+ * to bytes: sub, mul, clamp via max/min — MAXPS(t, 0) returns 0 for NaN,
+ * matching the scalar reference's `t > 0 ? t : 0` — then CVTPS2DQ under
+ * the default round-to-nearest-even mode, matching std::nearbyint.
+ */
+__attribute__((target("avx512f"))) inline __m128i
+quantizeLevelsAvx512(__m512 t, __m512 vlo, __m512 vinv)
+{
+    t = _mm512_mul_ps(_mm512_sub_ps(t, vlo), vinv);
+    t = _mm512_min_ps(_mm512_max_ps(t, _mm512_setzero_ps()),
+                      _mm512_set1_ps(127.0f));
+    return _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(t));
+}
+
+/**
+ * INT8 argmin-encode, VNNI tier, 16 rows per zmm (one row per int32
+ * lane). Per group of 16 rows: quantize each row's subvector into a
+ * row-pitched byte buffer (two rows per zmm when v <= 8, else masked
+ * 16-float chunks), then one gather per dim-quad transposes the quads
+ * into lanes so lane r holds row r's four bytes. Each quad feeds one
+ * VPDPBUSD per centroid — x_u (unsigned lanes) against the centroid's
+ * broadcast c_s quad (signed) — into 16 register-resident per-centroid
+ * accumulators, and a running VPMINSD over index-tagged keys picks the
+ * argmin with no horizontal reduction. Bytes past v hold the
+ * quantization of 0.0f; the bank's quad layout stores 0 there (and past
+ * c), so they contribute nothing.
  */
 __attribute__((target("avx512f,avx512bw,avx512vnni"))) void
 encodeInt8RowsVnni(const float *x, int64_t rows, int64_t stride,
                    const int8_t *cs_quad, const int32_t *norms, float lo,
-                   float inv, int64_t v, int32_t *codes)
+                   float inv, int64_t v, int64_t c, uint8_t *codes)
 {
+    constexpr int64_t L = 16;
     const int64_t vq4 = (v + 3) / 4;
     const __m512 vlo = _mm512_set1_ps(lo);
     const __m512 vinv = _mm512_set1_ps(inv);
-    const __m512 vzero = _mm512_setzero_ps();
-    const __m512 vmax = _mm512_set1_ps(127.0f);
-    const __m512i vnorm = _mm512_loadu_si512(norms);
-    alignas(64) uint8_t xq[128];
-    for (int64_t i = 0; i < rows; ++i) {
-        const float *sub = x + i * stride;
-        for (int64_t t0 = 0; t0 < v; t0 += 16) {
-            const int64_t lanes = std::min<int64_t>(16, v - t0);
-            const __mmask16 lm =
-                static_cast<__mmask16>((1u << lanes) - 1u);
-            __m512 t = _mm512_maskz_loadu_ps(lm, sub + t0);
-            t = _mm512_mul_ps(_mm512_sub_ps(t, vlo), vinv);
-            t = _mm512_min_ps(_mm512_max_ps(t, vzero), vmax);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(xq + t0),
-                             _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(t)));
+    const __m512i row_off = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int>(kEncodePitch)));
+    int32_t keys[16] = {};
+    for (int64_t j = 0; j < c; ++j)
+        keys[j] = encodeKeyBase(norms, j);
+    alignas(64) uint8_t xrow[L * kEncodePitch];
+    for (int64_t r0 = 0; r0 < rows; r0 += L) {
+        const int64_t lanes = std::min(L, rows - r0);
+        const __mmask16 live = static_cast<__mmask16>((1u << lanes) - 1u);
+        if (v <= 8) {
+            // Row l in lanes 0..7, row l + 1 in lanes 8..15.
+            const __mmask16 vmask = static_cast<__mmask16>((1u << v) - 1u);
+            for (int64_t l = 0; l < lanes; l += 2) {
+                const float *sub = x + (r0 + l) * stride;
+                const __m512 a = _mm512_maskz_loadu_ps(vmask, sub);
+                const __m512 b =
+                    l + 1 < lanes ? _mm512_maskz_loadu_ps(vmask, sub + stride)
+                                  : _mm512_setzero_ps();
+                const __m128i q = quantizeLevelsAvx512(
+                    _mm512_shuffle_f32x4(a, b, 0x44), vlo, vinv);
+                _mm_storel_epi64(
+                    reinterpret_cast<__m128i *>(xrow + l * kEncodePitch), q);
+                _mm_storeh_pd(reinterpret_cast<double *>(
+                                  xrow + (l + 1) * kEncodePitch),
+                              _mm_castsi128_pd(q));
+            }
+        } else {
+            for (int64_t l = 0; l < lanes; ++l) {
+                const float *sub = x + (r0 + l) * stride;
+                for (int64_t t0 = 0; t0 < v; t0 += 16) {
+                    const int64_t n = std::min<int64_t>(16, v - t0);
+                    const __mmask16 lm =
+                        static_cast<__mmask16>((1u << n) - 1u);
+                    _mm_storeu_si128(
+                        reinterpret_cast<__m128i *>(xrow + l * kEncodePitch +
+                                                    t0),
+                        quantizeLevelsAvx512(
+                            _mm512_maskz_loadu_ps(lm, sub + t0), vlo, vinv));
+                }
+            }
         }
-        __m512i acc = _mm512_setzero_si512();
-        for (int64_t qd = 0; qd < vq4; ++qd) {
-            uint32_t xw;
-            std::memcpy(&xw, xq + 4 * qd, 4);
-            const __m512i xb = _mm512_set1_epi32(static_cast<int>(xw));
-            const __m512i cb = _mm512_loadu_si512(cs_quad + qd * 64);
-            acc = _mm512_dpbusd_epi32(acc, xb, cb);
+        __m512i acc[16];
+#pragma GCC unroll 16
+        for (int64_t j = 0; j < 16; ++j)
+            acc[j] = _mm512_setzero_si512();
+        for (int64_t q = 0; q < vq4; ++q) {
+            const __m512i xq = _mm512_mask_i32gather_epi32(
+                _mm512_setzero_si512(), live, row_off, xrow + 4 * q, 1);
+            const int8_t *cq = cs_quad + q * 64;
+#pragma GCC unroll 16
+            for (int64_t j = 0; j < 16; ++j) {
+                if (j < c) {
+                    int32_t quad;
+                    std::memcpy(&quad, cq + 4 * j, 4);
+                    acc[j] = _mm512_dpbusd_epi32(acc[j], xq,
+                                                 _mm512_set1_epi32(quad));
+                }
+            }
         }
-        // score_j = ||c_u_j||^2 - 2 * dot; pad centroids hold INT32_MAX
-        // norms and zero bank bytes, so they never win the min.
-        const __m512i score =
-            _mm512_sub_epi32(vnorm, _mm512_slli_epi32(acc, 1));
-        __m512i m = _mm512_min_epi32(
-            score, _mm512_shuffle_i32x4(score, score, 0x4E));
-        m = _mm512_min_epi32(m, _mm512_shuffle_i32x4(m, m, 0xB1));
-        m = _mm512_min_epi32(
-            m, _mm512_shuffle_epi32(m, static_cast<_MM_PERM_ENUM>(0x4E)));
-        m = _mm512_min_epi32(
-            m, _mm512_shuffle_epi32(m, static_cast<_MM_PERM_ENUM>(0xB1)));
-        const __mmask16 eq = _mm512_cmpeq_epi32_mask(score, m);
-        codes[i] = static_cast<int32_t>(__builtin_ctz(eq));
+        __m512i best = _mm512_set1_epi32(INT32_MAX);
+#pragma GCC unroll 16
+        for (int64_t j = 0; j < 16; ++j)
+            if (j < c)
+                best = _mm512_min_epi32(
+                    best, _mm512_sub_epi32(_mm512_set1_epi32(keys[j]),
+                                           _mm512_slli_epi32(acc[j], 5)));
+        _mm512_mask_cvtepi32_storeu_epi8(
+            codes + r0, live,
+            _mm512_and_si512(best, _mm512_set1_epi32(15)));
     }
 }
 
+/** Narrow 8 int32 lanes holding 0..127 to 8 bytes (low half of the
+ * result): PACKSSDW + PACKUSWB never saturate there, and leave dwords 0
+ * and 4 holding bytes 0..3 and 4..7. */
+__attribute__((target("avx2"))) inline __m128i
+packBytesAvx2(__m256i w)
+{
+    const __m256i p = _mm256_packs_epi32(w, w);
+    return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_packus_epi16(p, p), _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0)));
+}
+
 /**
- * INT8 argmin-encode, AVX2 tier (also serves plain AVX-512 hosts).
- * VPMADDUBSW pairs x_u (unsigned, <= 127) with c_s (signed, >= -128):
- * a pair sum is bounded by 127 * 128 * 2 = 32512 < 32767, so the int16
- * lanes never saturate; VPMADDWD against ones widens the pairs into the
- * same exact int32 quad-dots VPDPBUSD produces.
+ * INT8 argmin-encode, AVX2 tier (also serves plain AVX-512 hosts), 8
+ * rows per ymm. Same staging, transpose and keyed running min as the
+ * VNNI tier; the quad dot is VPMADDUBSW (x_u unsigned <= 127, c_s signed
+ * >= -128: a pair sum is bounded by 127 * 128 * 2 = 32512 < 32767, so
+ * the int16 lanes never saturate) + VPMADDWD against ones, which widens
+ * the pairs into the same exact int32 quad-dots VPDPBUSD produces.
  */
 __attribute__((target("avx2"))) void
 encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
                    const int8_t *cs_quad, const int32_t *norms, float lo,
-                   float inv, int64_t v, int32_t *codes)
+                   float inv, int64_t v, int64_t c, uint8_t *codes)
 {
+    constexpr int64_t L = 8;
     static const int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                           0,  0,  0,  0,  0,  0,  0,  0};
     const int64_t vq4 = (v + 3) / 4;
@@ -344,56 +433,59 @@ encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
     const __m256 vzero = _mm256_setzero_ps();
     const __m256 vmax = _mm256_set1_ps(127.0f);
     const __m256i ones16 = _mm256_set1_epi16(1);
-    const __m256i norm0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(norms));
-    const __m256i norm1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(norms + 8));
-    alignas(32) int32_t qtmp[8];
-    alignas(32) uint8_t xq[128];
-    for (int64_t i = 0; i < rows; ++i) {
-        const float *sub = x + i * stride;
-        for (int64_t t0 = 0; t0 < v; t0 += 8) {
-            const int64_t lanes = std::min<int64_t>(8, v - t0);
-            const __m256i lm = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
-            __m256 t = _mm256_maskload_ps(sub + t0, lm);
-            t = _mm256_mul_ps(_mm256_sub_ps(t, vlo), vinv);
-            t = _mm256_min_ps(_mm256_max_ps(t, vzero), vmax);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(qtmp),
-                               _mm256_cvtps_epi32(t));
-            for (int64_t k = 0; k < 8 && t0 + k < 4 * vq4; ++k)
-                xq[t0 + k] = static_cast<uint8_t>(qtmp[k]);
+    const __m256i row_off = _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        _mm256_set1_epi32(static_cast<int>(kEncodePitch)));
+    alignas(32) uint8_t xrow[L * kEncodePitch];
+    alignas(32) int32_t xt[32 * L];  // [quad][lane], vq4 <= 32
+    for (int64_t r0 = 0; r0 < rows; r0 += L) {
+        const int64_t lanes = std::min(L, rows - r0);
+        const __m256i live = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
+        for (int64_t l = 0; l < lanes; ++l) {
+            const float *sub = x + (r0 + l) * stride;
+            uint8_t *dst = xrow + l * kEncodePitch;
+            for (int64_t t0 = 0; t0 < v; t0 += 8) {
+                const int64_t n = std::min<int64_t>(8, v - t0);
+                const __m256i lm = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(kLaneMask + 8 - n));
+                __m256 t = _mm256_maskload_ps(sub + t0, lm);
+                t = _mm256_mul_ps(_mm256_sub_ps(t, vlo), vinv);
+                t = _mm256_min_ps(_mm256_max_ps(t, vzero), vmax);
+                _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + t0),
+                                 packBytesAvx2(_mm256_cvtps_epi32(t)));
+            }
         }
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t qd = 0; qd < vq4; ++qd) {
-            uint32_t xw;
-            std::memcpy(&xw, xq + 4 * qd, 4);
-            const __m256i xb = _mm256_set1_epi32(static_cast<int>(xw));
-            const __m256i cb0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(cs_quad + qd * 64));
-            const __m256i cb1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(cs_quad + qd * 64 + 32));
-            acc0 = _mm256_add_epi32(
-                acc0,
-                _mm256_madd_epi16(_mm256_maddubs_epi16(xb, cb0), ones16));
-            acc1 = _mm256_add_epi32(
-                acc1,
-                _mm256_madd_epi16(_mm256_maddubs_epi16(xb, cb1), ones16));
+        for (int64_t q = 0; q < vq4; ++q)
+            _mm256_store_si256(
+                reinterpret_cast<__m256i *>(xt + q * L),
+                _mm256_mask_i32gather_epi32(
+                    _mm256_setzero_si256(),
+                    reinterpret_cast<const int *>(xrow + 4 * q), row_off,
+                    live, 1));
+        __m256i best = _mm256_set1_epi32(INT32_MAX);
+        for (int64_t j = 0; j < c; ++j) {
+            __m256i dot = _mm256_setzero_si256();
+            for (int64_t q = 0; q < vq4; ++q) {
+                int32_t quad;
+                std::memcpy(&quad, cs_quad + (q * 16 + j) * 4, 4);
+                const __m256i xq = _mm256_load_si256(
+                    reinterpret_cast<const __m256i *>(xt + q * L));
+                dot = _mm256_add_epi32(
+                    dot, _mm256_madd_epi16(
+                             _mm256_maddubs_epi16(xq, _mm256_set1_epi32(quad)),
+                             ones16));
+            }
+            best = _mm256_min_epi32(
+                best, _mm256_sub_epi32(
+                          _mm256_set1_epi32(encodeKeyBase(norms, j)),
+                          _mm256_slli_epi32(dot, 5)));
         }
-        const __m256i s0 =
-            _mm256_sub_epi32(norm0, _mm256_slli_epi32(acc0, 1));
-        const __m256i s1 =
-            _mm256_sub_epi32(norm1, _mm256_slli_epi32(acc1, 1));
-        __m256i m = _mm256_min_epi32(s0, s1);
-        m = _mm256_min_epi32(m, _mm256_permute2x128_si256(m, m, 0x01));
-        m = _mm256_min_epi32(m, _mm256_shuffle_epi32(m, 0x4E));
-        m = _mm256_min_epi32(m, _mm256_shuffle_epi32(m, 0xB1));
-        const unsigned eq0 = static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(s0, m))));
-        const unsigned eq1 = static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(s1, m))));
-        codes[i] = static_cast<int32_t>(__builtin_ctz(eq0 | (eq1 << 8)));
+        alignas(8) uint8_t out[L];
+        _mm_storel_epi64(
+            reinterpret_cast<__m128i *>(out),
+            packBytesAvx2(_mm256_and_si256(best, _mm256_set1_epi32(15))));
+        std::memcpy(codes + r0, out, static_cast<size_t>(lanes));
     }
 }
 
@@ -548,15 +640,45 @@ gatherChunkAvx2(const int8_t *__restrict__ q_il,
     }
 }
 
+// The INT4 gathers sum biased nibbles (0..15) of a whole scale group in
+// uint8 lanes; a wider group would wrap them silently.
+static_assert(LutTableArena::kInt4ScaleGroup * 15 <= 255,
+              "INT4 scale group too wide for uint8 nibble accumulation");
+
+/**
+ * Widen one plane of 64 uint8 biased-nibble group sums, subtract the
+ * group bias and dequantize into 64 column-major floats: out = scale *
+ * (sum - bias) on the first group, out += that afterwards — the scalar
+ * packed sweep's float op sequence.
+ */
+__attribute__((target("avx512f,avx512bw"))) inline void
+dequantNibbleSumsAvx512(__m512i sums, __m512i bias, __m512 vs, bool first,
+                        float *out)
+{
+    alignas(64) uint8_t lanes[64];
+    _mm512_store_si512(lanes, sums);
+    for (int64_t k = 0; k < 4; ++k) {
+        const __m512i w = _mm512_sub_epi32(
+            _mm512_cvtepu8_epi32(_mm_load_si128(
+                reinterpret_cast<const __m128i *>(lanes + 16 * k))),
+            bias);
+        const __m512 f = _mm512_mul_ps(_mm512_cvtepi32_ps(w), vs);
+        float *o = out + 16 * k;
+        _mm512_storeu_ps(o, first ? f : _mm512_add_ps(_mm512_loadu_ps(o), f));
+    }
+}
+
 /**
  * INT4 shuffle gather, AVX-512 tier: identical chunk/LUT machinery to
  * gatherChunkAvx512, but each looked-up byte packs TWO adjacent output
  * columns (low nibble = even column, high nibble = odd column, both
- * bias-shifted by +8), so one VPSHUFB + one AND + one shift resolve 64
- * rows of BOTH columns of a pair. Biased nibbles (0..15) accumulate in
- * int16 lanes — at most 16 * 15 = 240, exact — and one subtract of
- * 8 * gs recovers the signed sum before the per-group dequantizing
- * mul + add, the same float op sequence the scalar packed sweep emits.
+ * bias-shifted by +8), so one VPSHUFB resolves 64 rows of BOTH columns
+ * of a pair. Biased nibbles (0..15) accumulate in uint8 lanes across the
+ * scale group — at most 16 * 15 = 240, exact: one shift + AND per lookup
+ * feeds the odd plane, the raw byte feeds a wrapping sum the even plane
+ * is recovered from once per group, and both are widened once per
+ * group, where one subtract of 8 * gs recovers the signed sum before the
+ * dequantizing mul + add.
  */
 __attribute__((target("avx512f,avx512bw"))) void
 gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
@@ -571,6 +693,7 @@ gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
     const int64_t num_groups =
         (num_subspaces + scale_group - 1) / scale_group;
     const __m512i nib_mask = _mm512_set1_epi8(0x0F);
+    const __m512i hi_mask = _mm512_set1_epi8(static_cast<char>(0xF0));
     for (int64_t g = 0; g < num_groups; ++g) {
         const int64_t s0 = g * scale_group;
         const int64_t gs =
@@ -579,122 +702,55 @@ gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
         for (int64_t i = 0; i < gs; ++i)
             idx[i] = _mm512_loadu_si512(planar + (s0 + i) * kChunk);
         const float *srow = scales + g * num_blocks;
-        const __m512i bias =
-            _mm512_set1_epi16(static_cast<short>(8 * gs));
+        const __m512i bias = _mm512_set1_epi32(static_cast<int>(8 * gs));
         for (int64_t p = 0; p < half_n; ++p) {
-            __m512i lo_e = _mm512_setzero_si512();
-            __m512i hi_e = _mm512_setzero_si512();
-            __m512i lo_o = _mm512_setzero_si512();
-            __m512i hi_o = _mm512_setzero_si512();
+            __m512i raw = _mm512_setzero_si512();
+            __m512i odd = _mm512_setzero_si512();
             for (int64_t i = 0; i < gs; ++i) {
                 const __m512i lut = _mm512_broadcast_i32x4(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
                         q4_il + ((s0 + i) * half_n + p) * 16)));
                 const __m512i v = _mm512_shuffle_epi8(lut, idx[i]);
-                // Nibble-plane split; values stay 0..15, so the
-                // int8 -> int16 widen below is sign-safe.
-                const __m512i ve = _mm512_and_si512(v, nib_mask);
-                const __m512i vo = _mm512_and_si512(
-                    _mm512_srli_epi16(v, 4), nib_mask);
-                lo_e = _mm512_add_epi16(
-                    lo_e,
-                    _mm512_cvtepi8_epi16(_mm512_castsi512_si256(ve)));
-                hi_e = _mm512_add_epi16(
-                    hi_e, _mm512_cvtepi8_epi16(
-                              _mm512_extracti64x4_epi64(ve, 1)));
-                lo_o = _mm512_add_epi16(
-                    lo_o,
-                    _mm512_cvtepi8_epi16(_mm512_castsi512_si256(vo)));
-                hi_o = _mm512_add_epi16(
-                    hi_o, _mm512_cvtepi8_epi16(
-                              _mm512_extracti64x4_epi64(vo, 1)));
+                raw = _mm512_add_epi8(raw, v);
+                odd = _mm512_add_epi8(
+                    odd, _mm512_and_si512(_mm512_srli_epi16(v, 4), nib_mask));
             }
-            lo_e = _mm512_sub_epi16(lo_e, bias);
-            hi_e = _mm512_sub_epi16(hi_e, bias);
-            lo_o = _mm512_sub_epi16(lo_o, bias);
-            hi_o = _mm512_sub_epi16(hi_o, bias);
+            // raw = even + 16 * odd (mod 256) per byte, and the exact
+            // even sum is <= 240, so one wrapping subtract recovers it.
+            const __m512i even = _mm512_sub_epi8(
+                raw, _mm512_and_si512(_mm512_slli_epi16(odd, 4), hi_mask));
             // block_cols is even, so both columns of the pair live in
             // one scale block: a single broadcast serves the pair.
-            const __m512 vs =
-                _mm512_set1_ps(srow[(2 * p) / block_cols]);
-            const __m512 e0 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(lo_e))),
-                vs);
-            const __m512 e1 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(lo_e, 1))),
-                vs);
-            const __m512 e2 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(hi_e))),
-                vs);
-            const __m512 e3 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(hi_e, 1))),
-                vs);
-            float *out = colmajor + (2 * p) * kChunk;
-            if (g == 0) {
-                _mm512_storeu_ps(out, e0);
-                _mm512_storeu_ps(out + 16, e1);
-                _mm512_storeu_ps(out + 32, e2);
-                _mm512_storeu_ps(out + 48, e3);
-            } else {
-                _mm512_storeu_ps(
-                    out, _mm512_add_ps(_mm512_loadu_ps(out), e0));
-                _mm512_storeu_ps(
-                    out + 16,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 16), e1));
-                _mm512_storeu_ps(
-                    out + 32,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 32), e2));
-                _mm512_storeu_ps(
-                    out + 48,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 48), e3));
-            }
-            if (2 * p + 1 >= n)
-                continue;  // odd N: the high plane has no partner column
-            const __m512 o0 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(lo_o))),
-                vs);
-            const __m512 o1 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(lo_o, 1))),
-                vs);
-            const __m512 o2 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(hi_o))),
-                vs);
-            const __m512 o3 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(hi_o, 1))),
-                vs);
-            float *outo = colmajor + (2 * p + 1) * kChunk;
-            if (g == 0) {
-                _mm512_storeu_ps(outo, o0);
-                _mm512_storeu_ps(outo + 16, o1);
-                _mm512_storeu_ps(outo + 32, o2);
-                _mm512_storeu_ps(outo + 48, o3);
-            } else {
-                _mm512_storeu_ps(
-                    outo, _mm512_add_ps(_mm512_loadu_ps(outo), o0));
-                _mm512_storeu_ps(
-                    outo + 16,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 16), o1));
-                _mm512_storeu_ps(
-                    outo + 32,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 32), o2));
-                _mm512_storeu_ps(
-                    outo + 48,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 48), o3));
-            }
+            const __m512 vs = _mm512_set1_ps(srow[(2 * p) / block_cols]);
+            dequantNibbleSumsAvx512(even, bias, vs, g == 0,
+                                    colmajor + (2 * p) * kChunk);
+            if (2 * p + 1 < n)  // odd N: the last high plane has no column
+                dequantNibbleSumsAvx512(odd, bias, vs, g == 0,
+                                        colmajor + (2 * p + 1) * kChunk);
         }
     }
 }
 
+/** AVX2 twin of dequantNibbleSumsAvx512 over 32 rows. */
+__attribute__((target("avx2"))) inline void
+dequantNibbleSumsAvx2(__m256i sums, __m256i bias, __m256 vs, bool first,
+                      float *out)
+{
+    alignas(32) uint8_t lanes[32];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), sums);
+    for (int64_t k = 0; k < 4; ++k) {
+        const __m256i w = _mm256_sub_epi32(
+            _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(lanes + 8 * k))),
+            bias);
+        const __m256 f = _mm256_mul_ps(_mm256_cvtepi32_ps(w), vs);
+        float *o = out + 8 * k;
+        _mm256_storeu_ps(o, first ? f : _mm256_add_ps(_mm256_loadu_ps(o), f));
+    }
+}
+
 /** INT4 shuffle gather, AVX2 tier (32-row chunks); see the AVX-512
- * variant for the nibble-plane contract. */
+ * variant for the nibble-plane and uint8-accumulation contract. */
 __attribute__((target("avx2"))) void
 gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
                     const float *__restrict__ scales,
@@ -708,6 +764,7 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
     const int64_t num_groups =
         (num_subspaces + scale_group - 1) / scale_group;
     const __m256i nib_mask = _mm256_set1_epi8(0x0F);
+    const __m256i hi_mask = _mm256_set1_epi8(static_cast<char>(0xF0));
     for (int64_t g = 0; g < num_groups; ++g) {
         const int64_t s0 = g * scale_group;
         const int64_t gs =
@@ -717,112 +774,27 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
             idx[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
                 planar + (s0 + i) * kChunk));
         const float *srow = scales + g * num_blocks;
-        const __m256i bias =
-            _mm256_set1_epi16(static_cast<short>(8 * gs));
+        const __m256i bias = _mm256_set1_epi32(static_cast<int>(8 * gs));
         for (int64_t p = 0; p < half_n; ++p) {
-            __m256i lo_e = _mm256_setzero_si256();
-            __m256i hi_e = _mm256_setzero_si256();
-            __m256i lo_o = _mm256_setzero_si256();
-            __m256i hi_o = _mm256_setzero_si256();
+            __m256i raw = _mm256_setzero_si256();
+            __m256i odd = _mm256_setzero_si256();
             for (int64_t i = 0; i < gs; ++i) {
                 const __m256i lut = _mm256_broadcastsi128_si256(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
                         q4_il + ((s0 + i) * half_n + p) * 16)));
                 const __m256i v = _mm256_shuffle_epi8(lut, idx[i]);
-                const __m256i ve = _mm256_and_si256(v, nib_mask);
-                const __m256i vo = _mm256_and_si256(
-                    _mm256_srli_epi16(v, 4), nib_mask);
-                lo_e = _mm256_add_epi16(
-                    lo_e,
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(ve)));
-                hi_e = _mm256_add_epi16(
-                    hi_e, _mm256_cvtepi8_epi16(
-                              _mm256_extracti128_si256(ve, 1)));
-                lo_o = _mm256_add_epi16(
-                    lo_o,
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vo)));
-                hi_o = _mm256_add_epi16(
-                    hi_o, _mm256_cvtepi8_epi16(
-                              _mm256_extracti128_si256(vo, 1)));
+                raw = _mm256_add_epi8(raw, v);
+                odd = _mm256_add_epi8(
+                    odd, _mm256_and_si256(_mm256_srli_epi16(v, 4), nib_mask));
             }
-            lo_e = _mm256_sub_epi16(lo_e, bias);
-            hi_e = _mm256_sub_epi16(hi_e, bias);
-            lo_o = _mm256_sub_epi16(lo_o, bias);
-            hi_o = _mm256_sub_epi16(hi_o, bias);
-            const __m256 vs =
-                _mm256_set1_ps(srow[(2 * p) / block_cols]);
-            const __m256 e0 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(lo_e))),
-                vs);
-            const __m256 e1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(lo_e, 1))),
-                vs);
-            const __m256 e2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(hi_e))),
-                vs);
-            const __m256 e3 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(hi_e, 1))),
-                vs);
-            float *out = colmajor + (2 * p) * kChunk;
-            if (g == 0) {
-                _mm256_storeu_ps(out, e0);
-                _mm256_storeu_ps(out + 8, e1);
-                _mm256_storeu_ps(out + 16, e2);
-                _mm256_storeu_ps(out + 24, e3);
-            } else {
-                _mm256_storeu_ps(
-                    out, _mm256_add_ps(_mm256_loadu_ps(out), e0));
-                _mm256_storeu_ps(
-                    out + 8,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 8), e1));
-                _mm256_storeu_ps(
-                    out + 16,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 16), e2));
-                _mm256_storeu_ps(
-                    out + 24,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 24), e3));
-            }
-            if (2 * p + 1 >= n)
-                continue;
-            const __m256 o0 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(lo_o))),
-                vs);
-            const __m256 o1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(lo_o, 1))),
-                vs);
-            const __m256 o2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(hi_o))),
-                vs);
-            const __m256 o3 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(hi_o, 1))),
-                vs);
-            float *outo = colmajor + (2 * p + 1) * kChunk;
-            if (g == 0) {
-                _mm256_storeu_ps(outo, o0);
-                _mm256_storeu_ps(outo + 8, o1);
-                _mm256_storeu_ps(outo + 16, o2);
-                _mm256_storeu_ps(outo + 24, o3);
-            } else {
-                _mm256_storeu_ps(
-                    outo, _mm256_add_ps(_mm256_loadu_ps(outo), o0));
-                _mm256_storeu_ps(
-                    outo + 8,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 8), o1));
-                _mm256_storeu_ps(
-                    outo + 16,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 16), o2));
-                _mm256_storeu_ps(
-                    outo + 24,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 24), o3));
-            }
+            const __m256i even = _mm256_sub_epi8(
+                raw, _mm256_and_si256(_mm256_slli_epi16(odd, 4), hi_mask));
+            const __m256 vs = _mm256_set1_ps(srow[(2 * p) / block_cols]);
+            dequantNibbleSumsAvx2(even, bias, vs, g == 0,
+                                  colmajor + (2 * p) * kChunk);
+            if (2 * p + 1 < n)
+                dequantNibbleSumsAvx2(odd, bias, vs, g == 0,
+                                      colmajor + (2 * p + 1) * kChunk);
         }
     }
 }
@@ -933,21 +905,10 @@ encodeL2C16Supported(util::SimdLevel level)
     return level >= util::SimdLevel::Avx2;
 }
 
-int32_t
-argminL2C16(util::SimdLevel level, const float *sub, const float *cbt,
-            int64_t v)
-{
-    if (level >= util::SimdLevel::Avx512)
-        return argminL2C16Avx512(sub, cbt, v);
-    LUTDLA_CHECK(level == util::SimdLevel::Avx2,
-                 "argminL2C16 requires AVX2 or AVX-512");
-    return argminL2C16Avx2(sub, cbt, v);
-}
-
 void
 encodeL2C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                 int64_t stride, const float *cbt, int64_t v,
-                int32_t *codes)
+                uint8_t *codes)
 {
     if (level >= util::SimdLevel::Avx512) {
         encodeL2C16RowsAvx512(x, rows, stride, cbt, v, codes);
@@ -967,7 +928,7 @@ encodeL2GenericSupported(util::SimdLevel level, int64_t c)
 void
 encodeL2GenericRows(util::SimdLevel level, const float *x, int64_t rows,
                     int64_t stride, const float *cbt, int64_t v, int64_t c,
-                    int32_t *codes)
+                    uint8_t *codes)
 {
     LUTDLA_CHECK(c >= 2 && c <= 64,
                  "encodeL2GenericRows supports 2..64 centroids");
@@ -990,18 +951,21 @@ void
 encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                   int64_t stride, const int8_t *cs_quad,
                   const int32_t *norms, float lo, float inv, int64_t v,
-                  int32_t *codes)
+                  int64_t c, uint8_t *codes)
 {
-    LUTDLA_CHECK(v >= 1 && v <= 128,
+    LUTDLA_CHECK(v >= 1 && v <= kEncodePitch,
                  "INT8 encode kernels support subvector lengths up to 128");
+    LUTDLA_CHECK(c >= 1 && c <= 16,
+                 "INT8 encode kernels support 1..16 centroids");
     if (level >= util::SimdLevel::Avx512Vnni) {
-        encodeInt8RowsVnni(x, rows, stride, cs_quad, norms, lo, inv, v,
+        encodeInt8RowsVnni(x, rows, stride, cs_quad, norms, lo, inv, v, c,
                            codes);
         return;
     }
     LUTDLA_CHECK(level >= util::SimdLevel::Avx2,
                  "encodeInt8C16Rows requires AVX2 or newer");
-    encodeInt8RowsAvx2(x, rows, stride, cs_quad, norms, lo, inv, v, codes);
+    encodeInt8RowsAvx2(x, rows, stride, cs_quad, norms, lo, inv, v, c,
+                       codes);
 }
 
 bool

@@ -28,13 +28,18 @@
  *    inv), 0, 127)), so argmin ||x - c||^2 collapses to an integer
  *    argmin over (||c_u||^2 - 2 * x_u . c_s) with c_s = c_u - 128 —
  *    the dropped ||x_u||^2 and -256 * sum(x_u) terms are constant
- *    across centroids. The VNNI tier folds 4 dims x 16 centroids per
- *    VPDPBUSD over the quad-interleaved bank; the AVX2 tier pairs
- *    VPMADDUBSW + VPMADDWD (the 7-bit x grid caps a pair sum at
- *    127 * 128 * 2 = 32512, so the int16 maddubs lanes can never
- *    saturate). Every tier computes the identical int32 scores, so the
- *    result is bit-identical to the scalar integer reference by
- *    construction.
+ *    across centroids. Rows sit in vector lanes (16 per zmm on the VNNI
+ *    tier, 8 per ymm on the AVX2 tier): each row's quantized quads are
+ *    transposed into lanes once, then every centroid's quads are
+ *    broadcast from the bank and folded in with one VPDPBUSD (VNNI) or
+ *    VPMADDUBSW + VPMADDWD (AVX2; the 7-bit x grid caps a pair sum at
+ *    127 * 128 * 2 = 32512, so the int16 lanes never saturate) per quad.
+ *    Each score is tagged with its index (score * 16 + j), so a plain
+ *    vertical running min is the scalar strict-< argmin with ties to the
+ *    lowest index; no horizontal reduction runs, and the result is
+ *    bit-identical to the scalar integer reference by construction.
+ *    Codes land as one byte per row — directly in the shuffle gather's
+ *    planar lanes.
  *
  *  - shuffle gather (INT8 bank, c <= 16): the in-register table lookup
  *    the paper's DPE performs in hardware. Codes for a block of rows are
@@ -49,10 +54,13 @@
  *  - INT4 shuffle gather (nibble-packed bank, c <= 16): same VPSHUFB
  *    machinery over the packed interleaved layout, where each looked-up
  *    byte carries TWO adjacent output columns (low/high nibble plane,
- *    both bias-shifted by +8). One AND + one shift per lookup split the
- *    planes; biased nibbles accumulate in int16 lanes, and one bias-
- *    correcting subtract precedes the per-group dequantizing mul + add
- *    — again bit-identical to the scalar packed sweep.
+ *    both bias-shifted by +8). Biased nibbles accumulate in uint8
+ *    lanes across a scale group (at most 16 * 15 = 240, exact): per
+ *    lookup one shift + AND adds the odd plane and the raw byte is
+ *    added to a wrapping sum, from which the even plane is recovered
+ *    once per group. Both are widened once per group, and one
+ *    bias-correcting subtract precedes the per-group dequantizing
+ *    mul + add — again bit-identical to the scalar packed sweep.
  */
 
 #include <cstdint>
@@ -65,22 +73,16 @@ namespace lutdla::lutboost::simd {
 bool encodeL2C16Supported(util::SimdLevel level);
 
 /**
- * Fused L2 distance + argmin of one `v`-float subvector against a
- * transposed [v, 16] codebook at `level` (which must satisfy
- * encodeL2C16Supported). Bit-exact with the scalar reference.
- */
-int32_t argminL2C16(util::SimdLevel level, const float *sub,
-                    const float *cbt, int64_t v);
-
-/**
- * Batched variant of argminL2C16: encode `rows` subvectors (row i at
- * x + i * stride, `v` floats each) against one transposed [v, 16]
- * codebook, writing one code per row. One call per (subspace, batch), so
- * the per-row argmin stays inlined inside the attributed loop.
+ * Fused L2 distance + argmin of `rows` subvectors (row i at x + i *
+ * stride, `v` floats each) against one transposed [v, 16] codebook at
+ * `level` (which must satisfy encodeL2C16Supported), writing one code
+ * byte per row. One call per (subspace, batch), so the per-row argmin
+ * stays inlined inside the attributed loop. Bit-exact with the scalar
+ * reference.
  */
 void encodeL2C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                      int64_t stride, const float *cbt, int64_t v,
-                     int32_t *codes);
+                     uint8_t *codes);
 
 /** True when `level` provides the masked generic-c (c <= 64) L2 encode
  * tier for centroid counts without a dedicated fast path. */
@@ -97,7 +99,7 @@ bool encodeL2GenericSupported(util::SimdLevel level, int64_t c);
  */
 void encodeL2GenericRows(util::SimdLevel level, const float *x,
                          int64_t rows, int64_t stride, const float *cbt,
-                         int64_t v, int64_t c, int32_t *codes);
+                         int64_t v, int64_t c, uint8_t *codes);
 
 /** True when `level` provides an INT8 integer argmin-encode tier
  * (requires AVX2; the VNNI tier additionally requires
@@ -107,29 +109,33 @@ bool int8EncodeSupported(util::SimdLevel level);
 /**
  * INT8 integer argmin-encode of `rows` subvectors (row i at x + i *
  * stride, `v` floats each, v <= 128) against one subspace's quantized
- * encode bank at `level` (which must satisfy int8EncodeSupported).
+ * encode bank at `level` (which must satisfy int8EncodeSupported),
+ * writing one code byte per row: codes[i] for row i.
  *
  * Each subvector is quantized onto the bank's 7-bit grid (x_u =
- * clamp(round((x - lo) * inv), 0, 127), NaN -> 0) and scored against all
- * 16 centroid lanes as score_j = norms[j] - 2 * dot(x_u, cs_quad[j]) in
- * exact int32 arithmetic; pad centroids carry norms = INT32_MAX and
- * all-zero bank bytes so they never win. Lowest-index tie-break.
+ * clamp(round((x - lo) * inv), 0, 127), NaN -> 0) and scored against
+ * centroids 0..c-1 as score_j = norms[j] - 2 * dot(x_u, cs_quad[j]) in
+ * exact int32 arithmetic; the strict-< running argmin breaks ties toward
+ * the lowest index.
  *
  * @param cs_quad  quad-interleaved signed bank for this subspace: byte
  *                 (q * 16 + j) * 4 + k holds c_s[j][4q + k] = c_u - 128
- *                 (zero past v and past c), q < vq4 = ceil(v / 4).
- * @param norms    16 int32 centroid norms ||c_u||^2 (INT32_MAX pads).
+ *                 (zero past v and past c), q < vq4 = ceil(v / 4) — read
+ *                 as one int32 quad per (q, centroid).
+ * @param norms    int32 centroid norms ||c_u||^2, at least c entries.
  * @param lo, inv  the subspace's affine grid (inv = 1 / step).
+ * @param c        centroids scored, 1..16.
  *
- * At SimdLevel::Avx512Vnni the dot is one VPDPBUSD per quad; at AVX2 /
- * plain AVX-512 it is VPMADDUBSW + VPMADDWD over two 8-centroid halves.
- * Both produce the identical int32 scores as the scalar reference in
- * LutTableArena, so codes match bit-for-bit.
+ * At SimdLevel::Avx512Vnni 16 rows share one zmm and each (quad,
+ * centroid) is one VPDPBUSD; at AVX2 / plain AVX-512, 8 rows share a ymm
+ * and each is VPMADDUBSW + VPMADDWD. Both produce the identical int32
+ * scores as the scalar reference in LutTableArena, so codes match
+ * bit-for-bit.
  */
 void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        int64_t stride, const int8_t *cs_quad,
                        const int32_t *norms, float lo, float inv,
-                       int64_t v, int32_t *codes);
+                       int64_t v, int64_t c, uint8_t *codes);
 
 /** True when `level` provides the shuffle-based INT8 gather. */
 bool shuffleGatherSupported(util::SimdLevel level);

@@ -268,9 +268,8 @@ sweepInt4ColOuter(const uint8_t *__restrict__ qbank,
  * are moved, never recomputed, so this cannot perturb numerics.
  */
 inline void
-transposeColMajorTail(const float *__restrict__ colmajor, int64_t chunk,
-                      int64_t n, int64_t valid_rows,
-                      float *__restrict__ yb)
+transposeColMajor(const float *__restrict__ colmajor, int64_t chunk,
+                  int64_t n, int64_t valid_rows, float *__restrict__ yb)
 {
     constexpr int64_t T = 16;
     for (int64_t r0 = 0; r0 < valid_rows; r0 += T) {
@@ -284,97 +283,154 @@ transposeColMajorTail(const float *__restrict__ colmajor, int64_t chunk,
     }
 }
 
-inline void
-transposeColMajor(const float *__restrict__ colmajor, int64_t chunk,
-                  int64_t n, float *__restrict__ yb)
+/** A gather span [row0, row0 + rows) must lie inside `codes`, which must
+ * carry `num_subspaces` codes per row. */
+void
+checkGatherSpan(const vq::CodeBuffer &codes, int64_t num_subspaces,
+                int64_t row0, int64_t rows)
 {
-    transposeColMajorTail(colmajor, chunk, n, chunk, yb);
+    LUTDLA_CHECK(codes.subspaces() == num_subspaces,
+                 "code buffer carries ", codes.subspaces(),
+                 " subspaces, arena has ", num_subspaces);
+    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
+                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
+                 codes.rows(), " encoded rows");
 }
 
+/**
+ * Where an encode writes its codes. The SIMD tiers emit one subspace at a
+ * time as a byte plane — into `plane(s)`, then `commit(s, rows)` — while
+ * the scalar scans, which also serve c > 256, store code by code via
+ * `set`. PlanarSink aims the kernels straight at the shuffle gather's
+ * code lanes; the other two stage the plane and pack it.
+ */
+struct PlanarSink
+{
+    uint8_t *planar;
+    int64_t stride;
+
+    uint8_t *plane(int64_t s) const { return planar + s * stride; }
+    void commit(int64_t, int64_t) const {}
+    void
+    set(int64_t i, int64_t s, int32_t code) const
+    {
+        planar[s * stride + i] = static_cast<uint8_t>(code);
+    }
+};
+
+/** Packs each plane into rows [row0, row0 + rows) of a CodeBuffer. */
+struct PackedSink
+{
+    vq::CodeBuffer &codes;
+    int64_t row0;
+    uint8_t *buf;
+
+    uint8_t *plane(int64_t) const { return buf; }
+    void
+    commit(int64_t s, int64_t rows) const
+    {
+        for (int64_t i = 0; i < rows; ++i)
+            codes.set(row0 + i, s, buf[i]);
+    }
+    void
+    set(int64_t i, int64_t s, int32_t code) const
+    {
+        codes.set(row0 + i, s, code);
+    }
+};
+
+/** Scatters each plane into row-major int32 codes ([rows, nc]). */
+struct RowMajorSink
+{
+    int32_t *codes;
+    int64_t nc;
+    uint8_t *buf;
+
+    uint8_t *plane(int64_t) const { return buf; }
+    void
+    commit(int64_t s, int64_t rows) const
+    {
+        for (int64_t i = 0; i < rows; ++i)
+            codes[i * nc + s] = buf[i];
+    }
+    void
+    set(int64_t i, int64_t s, int32_t code) const
+    {
+        codes[i * nc + s] = code;
+    }
+};
+
 } // namespace
+
+const float *
+LutTableArena::subspaceRows(const float *x, int64_t rows, int64_t s,
+                            EncodeScratch &scratch, int64_t &stride) const
+{
+    const int64_t v = subvector_len_;
+    const int64_t base = s * v;
+    if (base + v <= in_features_) {
+        stride = in_features_;
+        return x + base;
+    }
+    scratch.padded.assign(static_cast<size_t>(rows * v), 0.0f);
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = x + i * in_features_;
+        float *dst = scratch.padded.data() + i * v;
+        for (int64_t t = 0; base + t < in_features_; ++t)
+            dst[t] = row[base + t];
+    }
+    stride = v;
+    return scratch.padded.data();
+}
+
+const float *
+LutTableArena::stageInputs(const float *x, int64_t rows,
+                           EncodeScratch &scratch) const
+{
+    if (!bf16_inputs_)
+        return x;
+    scratch.staging.assign(x, x + rows * in_features_);
+    for (float &value : scratch.staging)
+        value = vq::toBf16(value);
+    return scratch.staging.data();
+}
 
 template <vq::Metric M, typename Sink>
 void
 LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
-                              Sink &&sink) const
+                              EncodeScratch &scratch, Sink &sink) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
-    // Subspace-outer: one ~c*v-float codebook stays L1-resident across the
-    // whole batch instead of streaming every codebook for every row. All
-    // subspaces except possibly the last read the row in place; the ragged
-    // tail is zero-padded into a scratch buffer, exactly like
-    // ProductQuantizer::extractSubvector.
-    const int64_t full_subspaces =
-        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
-    std::vector<float> tail(static_cast<size_t>(v), 0.0f);
-    std::vector<float> dist(static_cast<size_t>(c));
     // Register-resident fast paths, dispatched on the RUNNING CPU (cpuid,
     // not compile flags): the flagship L2 / c=16 kernel, or the masked
     // generic-c tier for any other c <= 64.
+    const util::SimdLevel level = util::simdLevel();
+    bool c16 = false, generic = false;
     if constexpr (M == vq::Metric::L2) {
-        const util::SimdLevel level = util::simdLevel();
-        const bool c16 = c == 16 && simd::encodeL2C16Supported(level);
-        const bool generic =
-            !c16 && simd::encodeL2GenericSupported(level, c);
+        c16 = c == 16 && simd::encodeL2C16Supported(level);
+        generic = !c16 && simd::encodeL2GenericSupported(level, c);
+    }
+    if (!c16 && !generic)
+        scratch.dist.resize(static_cast<size_t>(c));
+    // Subspace-outer: one ~c*v-float codebook stays L1-resident across the
+    // whole batch instead of streaming every codebook for every row.
+    for (int64_t s = 0; s < num_subspaces_; ++s) {
+        int64_t stride = 0;
+        const float *xs = subspaceRows(x, rows, s, scratch, stride);
+        const float *cbt = codebookT(s);
         if (c16 || generic) {
-            const auto run = [&](const float *xs, int64_t nrows,
-                                 int64_t stride, const float *cbt,
-                                 int32_t *out) {
-                if (c16)
-                    simd::encodeL2C16Rows(level, xs, nrows, stride, cbt, v,
-                                          out);
-                else
-                    simd::encodeL2GenericRows(level, xs, nrows, stride,
-                                              cbt, v, c, out);
-            };
-            std::vector<int32_t> block(static_cast<size_t>(rows));
-            for (int64_t s = 0; s < full_subspaces; ++s) {
-                run(x + s * v, rows, in_features_, codebookT(s),
-                    block.data());
-                for (int64_t i = 0; i < rows; ++i)
-                    sink(i, s, block[static_cast<size_t>(i)]);
-            }
-            if (full_subspaces < num_subspaces_) {
-                // Zero-pad the ragged tail rows into a compact [rows, v]
-                // staging plane, then encode it like a full subspace.
-                const int64_t s = full_subspaces;
-                const int64_t base = s * v;
-                std::vector<float> padded(static_cast<size_t>(rows * v),
-                                          0.0f);
-                for (int64_t i = 0; i < rows; ++i) {
-                    const float *row = x + i * in_features_;
-                    float *dst = padded.data() + i * v;
-                    for (int64_t t = 0; t < v && base + t < in_features_;
-                         ++t)
-                        dst[t] = row[base + t];
-                }
-                run(padded.data(), rows, v, codebookT(s), block.data());
-                for (int64_t i = 0; i < rows; ++i)
-                    sink(i, s, block[static_cast<size_t>(i)]);
-            }
-            return;
+            uint8_t *out = sink.plane(s);
+            if (c16)
+                simd::encodeL2C16Rows(level, xs, rows, stride, cbt, v, out);
+            else
+                simd::encodeL2GenericRows(level, xs, rows, stride, cbt, v,
+                                          c, out);
+            sink.commit(s, rows);
+            continue;
         }
-    }
-    for (int64_t s = 0; s < full_subspaces; ++s) {
-        const float *cbt = codebookT(s);
         for (int64_t i = 0; i < rows; ++i) {
-            distanceAll<M>(x + i * in_features_ + s * v, cbt, c, v,
-                           dist.data());
-            sink(i, s, argminScan(dist.data(), c));
-        }
-    }
-    for (int64_t s = full_subspaces; s < num_subspaces_; ++s) {
-        const float *cbt = codebookT(s);
-        const int64_t base = s * v;
-        for (int64_t i = 0; i < rows; ++i) {
-            const float *row = x + i * in_features_;
-            for (int64_t t = 0; t < v; ++t) {
-                const int64_t k = base + t;
-                tail[static_cast<size_t>(t)] =
-                    k < in_features_ ? row[k] : 0.0f;
-            }
-            distanceAll<M>(tail.data(), cbt, c, v, dist.data());
-            sink(i, s, argminScan(dist.data(), c));
+            distanceAll<M>(xs + i * stride, cbt, c, v, scratch.dist.data());
+            sink.set(i, s, argminScan(scratch.dist.data(), c));
         }
     }
 }
@@ -382,62 +438,69 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
 template <typename Sink>
 void
 LutTableArena::encodeDispatch(const float *x, int64_t rows,
-                              Sink &&sink) const
+                              EncodeScratch &scratch, Sink &sink) const
 {
     switch (metric_) {
       case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::L2>(x, rows, scratch, sink);
         return;
       case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::L1>(x, rows, scratch, sink);
         return;
       case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, scratch, sink);
         return;
     }
 }
 
 void
-LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes) const
+LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes,
+                          EncodeScratch &scratch) const
 {
-    encodeDispatch(x, rows, [codes, this](int64_t i, int64_t s,
-                                          int32_t code) {
-        codes[i * num_subspaces_ + s] = code;
-    });
+    scratch.plane.resize(static_cast<size_t>(rows));
+    RowMajorSink sink{codes, num_subspaces_, scratch.plane.data()};
+    encodeDispatch(x, rows, scratch, sink);
 }
 
 void
 LutTableArena::encodeBatch(const float *x, int64_t rows,
                            vq::CodeBuffer &codes,
-                           std::vector<float> &staging) const
+                           EncodeScratch &scratch) const
 {
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlock(x, 0, rows, codes, staging);
+    encodeBlock(x, 0, rows, codes, scratch);
 }
 
 void
 LutTableArena::encodeBlock(const float *x, int64_t row0, int64_t rows,
                            vq::CodeBuffer &codes,
-                           std::vector<float> &staging) const
+                           EncodeScratch &scratch) const
 {
-    const float *xb = x + row0 * in_features_;
-    if (bf16_inputs_) {
-        staging.assign(xb, xb + rows * in_features_);
-        for (float &value : staging)
-            value = vq::toBf16(value);
-        xb = staging.data();
-    }
-    encodeDispatch(xb, rows,
-                   [&codes, row0](int64_t i, int64_t s, int32_t code) {
-                       codes.set(row0 + i, s, code);
-                   });
+    const float *xb = stageInputs(x + row0 * in_features_, rows, scratch);
+    scratch.plane.resize(static_cast<size_t>(rows));
+    PackedSink sink{codes, row0, scratch.plane.data()};
+    encodeDispatch(xb, rows, scratch, sink);
+}
+
+void
+LutTableArena::encodePlanar(const float *x, int64_t rows, uint8_t *planar,
+                            int64_t stride, EncodeScratch &scratch) const
+{
+    LUTDLA_CHECK(num_centroids_ <= 256 && rows <= stride,
+                 "planar encode needs c <= 256 and rows <= stride");
+    const float *xb = stageInputs(x, rows, scratch);
+    PlanarSink sink{planar, stride};
+    encodeDispatch(xb, rows, scratch, sink);
 }
 
 template <typename Sink>
 void
 LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
-                              EncodeVariant variant, Sink &&sink) const
+                              EncodeVariant variant, EncodeScratch &scratch,
+                              Sink &sink) const
 {
+    LUTDLA_CHECK(int8_encode_bank_ != nullptr,
+                 "INT8 encode requires ensureInt8EncodeBank() first");
     const Int8EncodeBank &bank = *int8_encode_bank_;
     const int64_t v = subvector_len_, c = num_centroids_;
     if (variant == EncodeVariant::Auto)
@@ -447,7 +510,8 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
         level = util::SimdLevel::Avx512Vnni;
     else if (variant == EncodeVariant::MaddAvx2)
         level = util::SimdLevel::Avx2;
-    if (variant != EncodeVariant::Scalar) {
+    const bool vector = variant != EncodeVariant::Scalar;
+    if (vector) {
         LUTDLA_CHECK(!bank.cs_quad.empty(),
                      "SIMD INT8 encode needs c <= 16 and v <= 128 (got "
                      "c = ", c, ", v = ", v, "); use the scalar variant");
@@ -456,89 +520,50 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
                      util::simdLevelName(level),
                      " but this CPU provides ",
                      util::simdLevelName(util::simdLevel()));
+    } else {
+        scratch.xq.resize(static_cast<size_t>(v));
     }
-    const int64_t full_subspaces =
-        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
-
-    if (variant != EncodeVariant::Scalar) {
-        // Same subspace-outer block/tail structure as the float fast
-        // path: one subspace's quad bank stays L1-resident across the
-        // whole batch, and the ragged tail is zero-padded into a compact
-        // [rows, v] plane and encoded like a full subspace.
-        std::vector<int32_t> block(static_cast<size_t>(rows));
-        for (int64_t s = 0; s < full_subspaces; ++s) {
-            simd::encodeInt8C16Rows(
-                level, x + s * v, rows, in_features_,
-                bank.cs_quad.data() + s * bank.vq4 * 64,
-                bank.norms.data() + s * bank.norm_stride, bank.lo[s],
-                bank.inv[s], v, block.data());
-            for (int64_t i = 0; i < rows; ++i)
-                sink(i, s, block[static_cast<size_t>(i)]);
-        }
-        if (full_subspaces < num_subspaces_) {
-            const int64_t s = full_subspaces;
-            const int64_t base = s * v;
-            std::vector<float> padded(static_cast<size_t>(rows * v),
-                                      0.0f);
-            for (int64_t i = 0; i < rows; ++i) {
-                const float *row = x + i * in_features_;
-                float *dst = padded.data() + i * v;
-                for (int64_t t = 0; t < v && base + t < in_features_; ++t)
-                    dst[t] = row[base + t];
-            }
-            simd::encodeInt8C16Rows(
-                level, padded.data(), rows, v,
-                bank.cs_quad.data() + s * bank.vq4 * 64,
-                bank.norms.data() + s * bank.norm_stride, bank.lo[s],
-                bank.inv[s], v, block.data());
-            for (int64_t i = 0; i < rows; ++i)
-                sink(i, s, block[static_cast<size_t>(i)]);
-        }
-        return;
-    }
-
-    // Scalar integer reference: identical quantization (shared
-    // quantizeEncodeLevel), identical int32 scores, identical strict-<
-    // lowest-index argmin — the SIMD tiers are bit-identical to this by
-    // construction, and the property tests pin it.
-    std::vector<int32_t> xq(static_cast<size_t>(v));
-    std::vector<float> tail(static_cast<size_t>(v), 0.0f);
+    // Same subspace-outer structure as the float encode: one subspace's
+    // bank stays L1-resident across the whole batch, and the ragged tail
+    // is zero-padded and encoded like a full subspace.
     for (int64_t s = 0; s < num_subspaces_; ++s) {
-        const int8_t *cs = bank.cs.data() + s * c * v;
+        int64_t stride = 0;
+        const float *xs = subspaceRows(x, rows, s, scratch, stride);
         const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
         const float lo = bank.lo[static_cast<size_t>(s)];
         const float inv = bank.inv[static_cast<size_t>(s)];
-        const int64_t base = s * v;
-        const bool ragged = s >= full_subspaces;
+        if (vector) {
+            simd::encodeInt8C16Rows(level, xs, rows, stride,
+                                    bank.cs_quad.data() + s * bank.vq4 * 64,
+                                    norms, lo, inv, v, c, sink.plane(s));
+            sink.commit(s, rows);
+            continue;
+        }
+        // Scalar integer reference: identical quantization (shared
+        // quantizeEncodeLevel), identical int32 scores, identical
+        // strict-< lowest-index argmin — the SIMD tiers are
+        // bit-identical to this by construction, and the property tests
+        // pin it.
+        const int8_t *cs = bank.cs.data() + s * c * v;
+        int32_t *xq = scratch.xq.data();
         for (int64_t i = 0; i < rows; ++i) {
-            const float *sub = x + i * in_features_ + base;
-            if (ragged) {
-                const float *row = x + i * in_features_;
-                for (int64_t t = 0; t < v; ++t) {
-                    const int64_t k = base + t;
-                    tail[static_cast<size_t>(t)] =
-                        k < in_features_ ? row[k] : 0.0f;
-                }
-                sub = tail.data();
-            }
+            const float *sub = xs + i * stride;
             for (int64_t t = 0; t < v; ++t)
-                xq[static_cast<size_t>(t)] =
-                    quantizeEncodeLevel(sub[t], lo, inv);
+                xq[t] = quantizeEncodeLevel(sub[t], lo, inv);
             int32_t best = 0;
             int32_t best_score = std::numeric_limits<int32_t>::max();
             for (int64_t j = 0; j < c; ++j) {
                 const int8_t *crow = cs + j * v;
                 int32_t dot = 0;
                 for (int64_t t = 0; t < v; ++t)
-                    dot += xq[static_cast<size_t>(t)] *
-                           static_cast<int32_t>(crow[t]);
+                    dot += xq[t] * static_cast<int32_t>(crow[t]);
                 const int32_t score = norms[j] - 2 * dot;
                 if (score < best_score) {
                     best_score = score;
                     best = static_cast<int32_t>(j);
                 }
             }
-            sink(i, s, best);
+            sink.set(i, s, best);
         }
     }
 }
@@ -546,32 +571,36 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
 void
 LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
                                vq::CodeBuffer &codes,
-                               std::vector<float> &staging,
+                               EncodeScratch &scratch,
                                EncodeVariant variant) const
 {
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlockInt8(x, 0, rows, codes, staging, variant);
+    encodeBlockInt8(x, 0, rows, codes, scratch, variant);
 }
 
 void
 LutTableArena::encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
                                vq::CodeBuffer &codes,
-                               std::vector<float> &staging,
+                               EncodeScratch &scratch,
                                EncodeVariant variant) const
 {
-    LUTDLA_CHECK(int8_encode_bank_ != nullptr,
-                 "encodeBlockInt8 requires ensureInt8EncodeBank() first");
-    const float *xb = x + row0 * in_features_;
-    if (bf16_inputs_) {
-        staging.assign(xb, xb + rows * in_features_);
-        for (float &value : staging)
-            value = vq::toBf16(value);
-        xb = staging.data();
-    }
-    encodeRowsInt8(xb, rows, variant,
-                   [&codes, row0](int64_t i, int64_t s, int32_t code) {
-                       codes.set(row0 + i, s, code);
-                   });
+    const float *xb = stageInputs(x + row0 * in_features_, rows, scratch);
+    scratch.plane.resize(static_cast<size_t>(rows));
+    PackedSink sink{codes, row0, scratch.plane.data()};
+    encodeRowsInt8(xb, rows, variant, scratch, sink);
+}
+
+void
+LutTableArena::encodePlanarInt8(const float *x, int64_t rows,
+                                uint8_t *planar, int64_t stride,
+                                EncodeScratch &scratch,
+                                EncodeVariant variant) const
+{
+    LUTDLA_CHECK(num_centroids_ <= 256 && rows <= stride,
+                 "planar encode needs c <= 256 and rows <= stride");
+    const float *xb = stageInputs(x, rows, scratch);
+    PlanarSink sink{planar, stride};
+    encodeRowsInt8(xb, rows, variant, scratch, sink);
 }
 
 void
@@ -588,6 +617,81 @@ LutTableArena::addBias(float *yb, int64_t bn) const
     }
 }
 
+template <typename Sweep>
+void
+LutTableArena::sweepPacked(const vq::CodeBuffer &codes, int64_t row0,
+                           int64_t rows, float *y, GatherScratch &scratch,
+                           Sweep &&sweep) const
+{
+    const int64_t n = out_features_;
+    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
+        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
+        scratch.unpacked.resize(static_cast<size_t>(bn * num_subspaces_));
+        codes.unpackRows(b0, bn, scratch.unpacked.data());
+        float *yb = y + b0 * n;
+        std::fill(yb, yb + bn * n, 0.0f);
+        sweep(scratch.unpacked.data(), bn, yb);
+        addBias(yb, bn);
+    }
+}
+
+template <typename PlanarGather>
+void
+LutTableArena::gatherPackedChunks(const vq::CodeBuffer &codes, int64_t row0,
+                                  int64_t rows, int64_t chunk, float *y,
+                                  GatherScratch &scratch,
+                                  PlanarGather &&planar_gather) const
+{
+    scratch.planar.resize(static_cast<size_t>(num_subspaces_ * chunk));
+    for (int64_t r = row0; r < row0 + rows; r += chunk) {
+        const int64_t m = std::min(chunk, row0 + rows - r);
+        codes.unpackPlanar(r, m, scratch.planar.data(), chunk);
+        planar_gather(m, y + r * out_features_);
+    }
+}
+
+template <typename ChunkKernel, typename Sweep>
+void
+LutTableArena::gatherPlanarChunk(int64_t rows, int64_t chunk, float *y,
+                                 GatherScratch &scratch,
+                                 ChunkKernel &&chunk_kernel,
+                                 Sweep &&sweep) const
+{
+    LUTDLA_CHECK(rows >= 1 && rows <= chunk &&
+                     static_cast<int64_t>(scratch.planar.size()) >=
+                         num_subspaces_ * chunk,
+                 "planar gather needs 1..", chunk,
+                 " rows of [Nc, chunk] code lanes, got ", rows);
+    const int64_t n = out_features_;
+    uint8_t *planar = scratch.planar.data();
+    if (rows >= chunk / 4) {
+        // Row tails still worth a vector pass run PADDED through one
+        // full-width chunk: pad lanes carry code 0 (a valid index),
+        // their columns are computed and simply never copied out —
+        // cheaper than the scalar sweep above ~chunk/4 rows, and
+        // bit-exact because the valid lanes see identical math.
+        if (rows < chunk)
+            for (int64_t s = 0; s < num_subspaces_; ++s)
+                std::fill(planar + s * chunk + rows,
+                          planar + (s + 1) * chunk, uint8_t{0});
+        scratch.colmajor.resize(static_cast<size_t>(n * chunk));
+        chunk_kernel(planar, scratch.colmajor.data());
+        transposeColMajor(scratch.colmajor.data(), chunk, n, rows, y);
+    } else {
+        // Small tail: identical group scales and exact integer
+        // accumulation in the scalar sweep, so the seam between paths
+        // is invisible in the output.
+        scratch.unpacked.resize(static_cast<size_t>(rows * num_subspaces_));
+        int32_t *codes = scratch.unpacked.data();
+        for (int64_t s = 0; s < num_subspaces_; ++s)
+            for (int64_t i = 0; i < rows; ++i)
+                codes[i * num_subspaces_ + s] = planar[s * chunk + i];
+        std::fill(y, y + rows * n, 0.0f);
+        sweep(codes, rows, y);
+    }
+    addBias(y, rows);
+}
+
 void
 LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
                                 GatherScratch &scratch) const
@@ -600,28 +704,69 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
                                 int64_t rows, float *y,
                                 GatherScratch &scratch) const
 {
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
-    const int64_t n = out_features_;
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        scratch.unpacked.resize(static_cast<size_t>(bn * num_subspaces_));
-        codes.unpackRows(b0, bn, scratch.unpacked.data());
-        float *yb = y + b0 * n;
-        std::fill(yb, yb + bn * n, 0.0f);
-        // Same ascending-subspace accumulation as forwardBatch: packing
-        // round-trips codes exactly, so this phase split stays bit-exact
-        // with the fused reference kernel.
-        if (bn >= kTileMinRows)
-            sweepBlockGrouped(scratch.unpacked.data(), bn, yb);
-        else
-            sweepBlockSimple(scratch.unpacked.data(), bn, yb);
-        addBias(yb, bn);
+    // Same ascending-subspace accumulation as forwardBatch: packing
+    // round-trips codes exactly, so this phase split stays bit-exact
+    // with the fused reference kernel.
+    checkGatherSpan(codes, num_subspaces_, row0, rows);
+    sweepPacked(codes, row0, rows, y, scratch,
+                [this](const int32_t *c, int64_t bn, float *yb) {
+                    if (bn >= kTileMinRows)
+                        sweepBlockGrouped(c, bn, yb);
+                    else
+                        sweepBlockSimple(c, bn, yb);
+                });
+}
+
+util::SimdLevel
+LutTableArena::int8GatherLevel(Int8GatherVariant &variant) const
+{
+    LUTDLA_CHECK(int8_bank_ != nullptr,
+                 "the INT8 gather requires ensureInt8Bank() first");
+    if (variant == Int8GatherVariant::Auto)
+        variant = int8AutoVariant();
+    util::SimdLevel level = util::SimdLevel::Generic;
+    if (variant == Int8GatherVariant::ShuffleVnni)
+        level = util::SimdLevel::Avx512Vnni;
+    else if (variant == Int8GatherVariant::ShuffleAvx512)
+        level = util::SimdLevel::Avx512;
+    else if (variant == Int8GatherVariant::ShuffleAvx2)
+        level = util::SimdLevel::Avx2;
+    if (variant != Int8GatherVariant::Scalar) {
+        LUTDLA_CHECK(!int8_bank_->q_il.empty(),
+                     "shuffle gather needs c <= 16 (got c = ",
+                     num_centroids_, "); use the scalar variant");
+        LUTDLA_CHECK(level <= util::simdLevel(),
+                     "requested shuffle variant needs ",
+                     util::simdLevelName(level),
+                     " but this CPU provides ",
+                     util::simdLevelName(util::simdLevel()));
     }
+    return level;
+}
+
+util::SimdLevel
+LutTableArena::int4GatherLevel(Int4GatherVariant &variant) const
+{
+    LUTDLA_CHECK(int4_bank_ != nullptr,
+                 "the INT4 gather requires ensureInt4Bank() first");
+    if (variant == Int4GatherVariant::Auto)
+        variant = int4AutoVariant();
+    util::SimdLevel level = util::SimdLevel::Generic;
+    if (variant == Int4GatherVariant::ShuffleAvx512)
+        level = util::SimdLevel::Avx512;
+    else if (variant == Int4GatherVariant::ShuffleAvx2)
+        level = util::SimdLevel::Avx2;
+    if (variant != Int4GatherVariant::Scalar) {
+        LUTDLA_CHECK(!int4_bank_->q4_il.empty(),
+                     "shuffle gather needs c <= 16 (got c = ",
+                     num_centroids_, "); use the scalar variant");
+        LUTDLA_CHECK(level <= util::simdLevel(),
+                     "requested shuffle variant needs ",
+                     util::simdLevelName(level),
+                     " but this CPU provides ",
+                     util::simdLevelName(util::simdLevel()));
+    }
+    return level;
 }
 
 void
@@ -638,97 +783,51 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
                                     GatherScratch &scratch,
                                     Int8GatherVariant variant) const
 {
-    LUTDLA_CHECK(int8_bank_ != nullptr,
-                 "gatherAccumulateInt8 requires ensureInt8Bank() first");
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
+    checkGatherSpan(codes, num_subspaces_, row0, rows);
+    const util::SimdLevel level = int8GatherLevel(variant);
     const Int8Bank &bank = *int8_bank_;
-    if (variant == Int8GatherVariant::Auto)
-        variant = int8AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int8GatherVariant::ShuffleVnni)
-        level = util::SimdLevel::Avx512Vnni;
-    else if (variant == Int8GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int8GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int8GatherVariant::Scalar) {
-        LUTDLA_CHECK(!bank.q_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
+    if (variant == Int8GatherVariant::Scalar) {
+        sweepPacked(codes, row0, rows, y, scratch,
+                    [&](const int32_t *c, int64_t bn, float *yb) {
+                        sweepRowsInt8Scalar(bank, c, bn, yb);
+                    });
+        return;
     }
+    const int64_t chunk = simd::shuffleGatherChunkRows(level);
+    gatherPackedChunks(codes, row0, rows, chunk, y, scratch,
+                       [&](int64_t m, float *ym) {
+                           gatherPlanarInt8(m, ym, scratch, variant);
+                       });
+}
+
+void
+LutTableArena::gatherPlanarInt8(int64_t rows, float *y,
+                                GatherScratch &scratch,
+                                Int8GatherVariant variant) const
+{
+    const util::SimdLevel level = int8GatherLevel(variant);
+    LUTDLA_CHECK(variant != Int8GatherVariant::Scalar,
+                 "gatherPlanarInt8 needs a chunk-kernel variant");
+    const Int8Bank &bank = *int8_bank_;
     const int64_t n = out_features_;
-    const int64_t chunk = variant == Int8GatherVariant::Scalar
-                              ? 0
-                              : simd::shuffleGatherChunkRows(level);
-    const auto run_chunk = [&](const uint8_t *planar, float *colmajor) {
-        if (variant == Int8GatherVariant::ShuffleVnni)
-            simd::vnniGatherChunk(bank.q_quad.data(), bank.scales.data(),
-                                  planar, num_subspaces_, n,
-                                  bank.num_blocks, kInt8ScaleGroup,
-                                  kInt8BlockCols, colmajor);
-        else
-            simd::shuffleGatherChunk(level, bank.q_il.data(),
-                                     bank.scales.data(), planar,
-                                     num_subspaces_, n, bank.num_blocks,
-                                     kInt8ScaleGroup, kInt8BlockCols,
-                                     colmajor);
-    };
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        float *yb = y + b0 * n;
-        int64_t done = 0;
-        if (chunk > 0 && bn >= chunk / 4) {
-            scratch.planar.resize(
-                static_cast<size_t>(num_subspaces_ * chunk));
-            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-            for (; done + chunk <= bn; done += chunk) {
-                codes.unpackPlanar(b0 + done, chunk,
-                                   scratch.planar.data());
-                run_chunk(scratch.planar.data(), scratch.colmajor.data());
-                transposeColMajor(scratch.colmajor.data(), chunk, n,
-                                  yb + done * n);
-            }
-            // Row tails still worth a vector pass run PADDED through one
-            // full-width chunk: pad lanes carry code 0 (a valid index),
-            // their columns are computed and simply never copied out —
-            // cheaper than the scalar sweep above ~chunk/4 rows, and
-            // bit-exact because the valid lanes see identical math.
-            const int64_t tail = bn - done;
-            if (tail >= chunk / 4) {
-                std::fill(scratch.planar.begin(), scratch.planar.end(),
-                          uint8_t{0});
-                codes.unpackPlanar(b0 + done, tail, scratch.planar.data(),
-                                   chunk);
-                run_chunk(scratch.planar.data(), scratch.colmajor.data());
-                transposeColMajorTail(scratch.colmajor.data(), chunk, n,
-                                      tail, yb + done * n);
-                done = bn;
-            }
-        }
-        if (done < bn) {
-            // Row tail (or the whole block for the scalar variant):
-            // identical group scales and exact integer accumulation, so
-            // the seam between paths is invisible in the output.
-            const int64_t tail = bn - done;
-            scratch.unpacked.resize(
-                static_cast<size_t>(tail * num_subspaces_));
-            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
-            float *yt = yb + done * n;
-            std::fill(yt, yt + tail * n, 0.0f);
-            sweepRowsInt8Scalar(bank, scratch.unpacked.data(), tail, yt);
-        }
-        addBias(yb, bn);
-    }
+    gatherPlanarChunk(
+        rows, simd::shuffleGatherChunkRows(level), y, scratch,
+        [&](const uint8_t *planar, float *colmajor) {
+            if (variant == Int8GatherVariant::ShuffleVnni)
+                simd::vnniGatherChunk(bank.q_quad.data(), bank.scales.data(),
+                                      planar, num_subspaces_, n,
+                                      bank.num_blocks, kInt8ScaleGroup,
+                                      kInt8BlockCols, colmajor);
+            else
+                simd::shuffleGatherChunk(level, bank.q_il.data(),
+                                         bank.scales.data(), planar,
+                                         num_subspaces_, n, bank.num_blocks,
+                                         kInt8ScaleGroup, kInt8BlockCols,
+                                         colmajor);
+        },
+        [&](const int32_t *c, int64_t bn, float *yb) {
+            sweepRowsInt8Scalar(bank, c, bn, yb);
+        });
 }
 
 void
@@ -745,87 +844,46 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
                                     GatherScratch &scratch,
                                     Int4GatherVariant variant) const
 {
-    LUTDLA_CHECK(int4_bank_ != nullptr,
-                 "gatherAccumulateInt4 requires ensureInt4Bank() first");
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
+    // Same chunk/tail structure as the INT8 gather: every seam is
+    // bit-invisible because all paths share the exact biased-nibble
+    // accumulation.
+    checkGatherSpan(codes, num_subspaces_, row0, rows);
+    const util::SimdLevel level = int4GatherLevel(variant);
     const Int4Bank &bank = *int4_bank_;
-    if (variant == Int4GatherVariant::Auto)
-        variant = int4AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int4GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int4GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int4GatherVariant::Scalar) {
-        LUTDLA_CHECK(!bank.q4_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
+    if (variant == Int4GatherVariant::Scalar) {
+        sweepPacked(codes, row0, rows, y, scratch,
+                    [&](const int32_t *c, int64_t bn, float *yb) {
+                        sweepRowsInt4Scalar(bank, c, bn, yb);
+                    });
+        return;
     }
-    const int64_t n = out_features_;
-    const int64_t chunk = variant == Int4GatherVariant::Scalar
-                              ? 0
-                              : simd::shuffleGatherChunkRows(level);
-    // Same block/chunk/tail structure as the INT8 gather: full chunks
-    // through the shuffle kernel, big tails padded through one chunk
-    // (pad lanes carry code 0, computed but never copied out), small
-    // tails through the scalar packed sweep — every seam bit-invisible
-    // because all paths share the exact biased-nibble accumulation.
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        float *yb = y + b0 * n;
-        int64_t done = 0;
-        if (chunk > 0 && bn >= chunk / 4) {
-            scratch.planar.resize(
-                static_cast<size_t>(num_subspaces_ * chunk));
-            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-            for (; done + chunk <= bn; done += chunk) {
-                codes.unpackPlanar(b0 + done, chunk,
-                                   scratch.planar.data());
-                simd::shuffleGatherChunkInt4(
-                    level, bank.q4_il.data(), bank.scales.data(),
-                    scratch.planar.data(), num_subspaces_, n,
-                    bank.num_blocks, kInt4ScaleGroup, kInt4BlockCols,
-                    scratch.colmajor.data());
-                transposeColMajor(scratch.colmajor.data(), chunk, n,
-                                  yb + done * n);
-            }
-            const int64_t tail = bn - done;
-            if (tail >= chunk / 4) {
-                std::fill(scratch.planar.begin(), scratch.planar.end(),
-                          uint8_t{0});
-                codes.unpackPlanar(b0 + done, tail, scratch.planar.data(),
-                                   chunk);
-                simd::shuffleGatherChunkInt4(
-                    level, bank.q4_il.data(), bank.scales.data(),
-                    scratch.planar.data(), num_subspaces_, n,
-                    bank.num_blocks, kInt4ScaleGroup, kInt4BlockCols,
-                    scratch.colmajor.data());
-                transposeColMajorTail(scratch.colmajor.data(), chunk, n,
-                                      tail, yb + done * n);
-                done = bn;
-            }
-        }
-        if (done < bn) {
-            const int64_t tail = bn - done;
-            scratch.unpacked.resize(
-                static_cast<size_t>(tail * num_subspaces_));
-            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
-            float *yt = yb + done * n;
-            std::fill(yt, yt + tail * n, 0.0f);
-            sweepRowsInt4Scalar(bank, scratch.unpacked.data(), tail, yt);
-        }
-        addBias(yb, bn);
-    }
+    const int64_t chunk = simd::shuffleGatherChunkRows(level);
+    gatherPackedChunks(codes, row0, rows, chunk, y, scratch,
+                       [&](int64_t m, float *ym) {
+                           gatherPlanarInt4(m, ym, scratch, variant);
+                       });
+}
+
+void
+LutTableArena::gatherPlanarInt4(int64_t rows, float *y,
+                                GatherScratch &scratch,
+                                Int4GatherVariant variant) const
+{
+    const util::SimdLevel level = int4GatherLevel(variant);
+    LUTDLA_CHECK(variant != Int4GatherVariant::Scalar,
+                 "gatherPlanarInt4 needs a chunk-kernel variant");
+    const Int4Bank &bank = *int4_bank_;
+    gatherPlanarChunk(
+        rows, simd::shuffleGatherChunkRows(level), y, scratch,
+        [&](const uint8_t *planar, float *colmajor) {
+            simd::shuffleGatherChunkInt4(
+                level, bank.q4_il.data(), bank.scales.data(), planar,
+                num_subspaces_, out_features_, bank.num_blocks,
+                kInt4ScaleGroup, kInt4BlockCols, colmajor);
+        },
+        [&](const int32_t *c, int64_t bn, float *yb) {
+            sweepRowsInt4Scalar(bank, c, bn, yb);
+        });
 }
 
 void
@@ -1346,21 +1404,13 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
 {
     const int64_t n = out_features_;
     std::vector<int32_t> codes;
-    std::vector<float> rounded;  // BF16 staging, reused across blocks
+    EncodeScratch scratch;  // reused across blocks
 
     for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, rows - b0);
-        const float *xb = x + b0 * in_features_;
-
-        if (bf16_inputs_) {
-            rounded.assign(xb, xb + bn * in_features_);
-            for (float &value : rounded)
-                value = vq::toBf16(value);
-            xb = rounded.data();
-        }
-
+        const float *xb = stageInputs(x + b0 * in_features_, bn, scratch);
         codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeRows(xb, bn, codes.data());
+        encodeRows(xb, bn, codes.data(), scratch);
 
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);

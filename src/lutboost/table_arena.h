@@ -19,19 +19,26 @@
  *
  * Execution model: inference splits into two phases the serving data plane
  * drives separately (see lutboost/kernels.h for the pluggable dispatch):
- *  - encode: `encodeBatch` / `encodeBlock` argmin-encode rows into a
- *    bit-packed vq::CodeBuffer (BF16 input rounding applied when the
- *    arena demands it). The flagship L2 / c=16 shape dispatches to the
- *    runtime-selected SIMD argmin (lutboost/kernels_simd.h).
+ *  - encode: argmin-encode rows into centroid codes (BF16 input rounding
+ *    applied when the arena demands it), either as the exact float scan
+ *    or as the INT8 integer argmin over the quantized encode bank. The
+ *    SIMD tiers (lutboost/kernels_simd.h) write one subspace's codes at a
+ *    time as a byte plane; `encodePlanar` / `encodePlanarInt8` hand those
+ *    planes straight to the shuffle gather's planar code lanes, while
+ *    `encodeBatch` / `encodeBlock` (and the INT8 twins) pack them into a
+ *    bit-packed vq::CodeBuffer for codes that must cross workers or
+ *    feed the scalar sweeps.
  *  - gather: `gatherAccumulate` sweeps the float table bank,
  *    `gatherAccumulateInt8` sweeps the INT8-quantized bank, and
  *    `gatherAccumulateInt4` sweeps the nibble-packed INT4 bank. For
  *    c <= 16 the quantized gathers run as an in-register shuffle lookup
  *    (AVX-512 VPSHUFB over 64-row chunks, AVX2 over 32) against the
- *    bank's interleaved layout — the INT4 variant adds one
- *    unpack-and-shift per chunk to split the two nibble planes;
- *    otherwise (and for row tails) a scalar group sweep runs. All paths
- *    of one bank share exact integer accumulation under
+ *    bank's interleaved layout; `gatherPlanarInt8` / `gatherPlanarInt4`
+ *    run one such chunk from codes already in planar lanes. The INT4
+ *    kernels resolve both nibble planes of a column pair per lookup and
+ *    sum a whole scale group in uint8 lanes before widening once.
+ *    Otherwise (and for small row tails) a scalar group sweep runs. All
+ *    paths of one bank share exact integer accumulation under
  *    per-(subspace-group, column-block) scales, so every variant of a
  *    bank is bit-identical by construction.
  * Both phases take explicit [row0, row0 + rows) spans so the serving
@@ -53,12 +60,29 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/cpu_features.h"
 #include "vq/code_buffer.h"
 #include "vq/distance.h"
 #include "vq/lut.h"
 #include "vq/pq.h"
 
 namespace lutdla::lutboost {
+
+/**
+ * Reusable per-caller encode scratch: the BF16-rounded input rows, the
+ * zero-padded ragged tail subspace, one subspace's code plane on its way
+ * into a packed CodeBuffer, and the scalar scans' per-row buffers.
+ * Caller-owned so steady-state batches perform no allocations; one per
+ * concurrent caller.
+ */
+struct EncodeScratch
+{
+    std::vector<float> staging;  ///< BF16-rounded input rows
+    std::vector<float> padded;   ///< [rows, v] zero-padded tail subspace
+    std::vector<uint8_t> plane;  ///< [rows] one subspace's codes
+    std::vector<float> dist;     ///< [c] float scan distances
+    std::vector<int32_t> xq;     ///< [v] INT8 scan grid levels
+};
 
 /**
  * Reusable per-caller gather scratch: the per-block unpacked codes the
@@ -166,50 +190,67 @@ class LutTableArena
     /**
      * Encode `rows` rows of `x` (each `inFeatures()` wide, already
      * BF16-rounded when the arena demands it) into `codes` ([rows, Nc],
-     * row-major). Thread-safe.
+     * row-major). Thread-safe with distinct scratch.
      */
-    void encodeRows(const float *x, int64_t rows, int32_t *codes) const;
+    void encodeRows(const float *x, int64_t rows, int32_t *codes,
+                    EncodeScratch &scratch) const;
 
     /**
      * Encode phase of the split execution model: resize `codes` for
      * [rows, Nc] at this arena's packed code width and fill it. Unlike
      * encodeRows, this applies the arena's BF16 input rounding itself,
-     * staging rounded rows in `staging` (caller-owned so steady-state
-     * batches do not allocate). Thread-safe with distinct scratch.
+     * staging rounded rows in `scratch`. Thread-safe with distinct
+     * scratch.
      */
     void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     std::vector<float> &staging) const;
+                     EncodeScratch &scratch) const;
 
     /**
      * Shardable encode span: encode rows [row0, row0 + rows) of the full
      * batch `x` into an already-reset `codes` buffer. Packed rows are
      * byte-aligned, so concurrent shards writing disjoint row spans of
      * one shared CodeBuffer never race. Thread-safe with distinct
-     * `staging` per shard.
+     * `scratch` per shard.
      */
     void encodeBlock(const float *x, int64_t row0, int64_t rows,
-                     vq::CodeBuffer &codes,
-                     std::vector<float> &staging) const;
+                     vq::CodeBuffer &codes, EncodeScratch &scratch) const;
 
     /**
-     * INT8 twins of encodeBatch / encodeBlock: argmin-encode over the
-     * quantized encode bank (requires ensureInt8EncodeBank() first;
-     * panics otherwise). Rows are quantized onto the bank's per-subspace
-     * 7-bit grid and scored in exact int32 arithmetic, so every variant
-     * — scalar or SIMD — selects bit-identical codes; vs the float
-     * encode the codes carry a top-1 agreement envelope instead (see
-     * docs/SERVING.md). BF16 input rounding still applies first, and
-     * ragged tail subspaces are zero-padded exactly like the float path.
-     * L2 metric only. Thread-safe with distinct `staging` per shard.
+     * Encode `rows` rows of `x` straight into planar code lanes: the code
+     * of (row i, subspace s) lands at planar[s * stride + i], one byte
+     * each (rows <= stride; lanes past `rows` are left untouched). This
+     * is the layout gatherPlanarInt8 / gatherPlanarInt4 consume, so a
+     * chunk's codes never pass through a CodeBuffer. Same codes and BF16
+     * handling as encodeBatch; requires c <= 256.
+     */
+    void encodePlanar(const float *x, int64_t rows, uint8_t *planar,
+                      int64_t stride, EncodeScratch &scratch) const;
+
+    /**
+     * INT8 twins of encodeBatch / encodeBlock / encodePlanar:
+     * argmin-encode over the quantized encode bank (requires
+     * ensureInt8EncodeBank() first; panics otherwise). Rows are
+     * quantized onto the bank's per-subspace 7-bit grid and scored in
+     * exact int32 arithmetic, so every variant — scalar or SIMD —
+     * selects bit-identical codes; vs the float encode the codes carry
+     * a top-1 agreement envelope instead (see docs/SERVING.md). BF16
+     * input rounding still applies first, and ragged tail subspaces are
+     * zero-padded exactly like the float path. L2 metric only.
+     * Thread-safe with distinct `scratch` per shard.
      */
     void encodeBatchInt8(const float *x, int64_t rows,
-                         vq::CodeBuffer &codes, std::vector<float> &staging,
+                         vq::CodeBuffer &codes, EncodeScratch &scratch,
                          EncodeVariant variant = EncodeVariant::Auto) const;
 
     /** Shardable INT8 encode span; see encodeBlock for the contract. */
     void encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
-                         vq::CodeBuffer &codes, std::vector<float> &staging,
+                         vq::CodeBuffer &codes, EncodeScratch &scratch,
                          EncodeVariant variant = EncodeVariant::Auto) const;
+
+    /** INT8 encode into planar code lanes; see encodePlanar. */
+    void encodePlanarInt8(const float *x, int64_t rows, uint8_t *planar,
+                          int64_t stride, EncodeScratch &scratch,
+                          EncodeVariant variant = EncodeVariant::Auto) const;
 
     /**
      * Build the INT8 encode bank (idempotent, thread-safe): per-subspace
@@ -296,6 +337,19 @@ class LutTableArena
         Int8GatherVariant variant = Int8GatherVariant::Auto) const;
 
     /**
+     * INT8 gather of one chunk whose codes already sit in
+     * scratch.planar ([Nc, chunk] lanes, chunk = the variant's
+     * shuffleGatherChunkRows, as encodePlanar writes them): fills output
+     * rows [0, rows) of `y` ([rows, N], bias included), rows <= chunk.
+     * Lanes past `rows` are reset to code 0 and run through the chunk
+     * kernel uncopied; below chunk / 4 rows the scalar group sweep runs
+     * instead. `variant` must resolve to a chunk kernel, not Scalar.
+     */
+    void gatherPlanarInt8(
+        int64_t rows, float *y, GatherScratch &scratch,
+        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
+
+    /**
      * Build the INT8-quantized table bank (idempotent, thread-safe). The
      * planner calls this at lowering time so serving never pays the
      * quantization cost; the bank is cached for the arena's lifetime.
@@ -354,6 +408,11 @@ class LutTableArena
     void gatherAccumulateInt4(
         const vq::CodeBuffer &codes, int64_t row0, int64_t rows, float *y,
         GatherScratch &scratch,
+        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
+
+    /** INT4 gather of one planar chunk; see gatherPlanarInt8. */
+    void gatherPlanarInt4(
+        int64_t rows, float *y, GatherScratch &scratch,
         Int4GatherVariant variant = Int4GatherVariant::Auto) const;
 
     /**
@@ -446,9 +505,10 @@ class LutTableArena
 
     /**
      * Subspaces sharing one INT4 scale (per output block). 16 bias-
-     * shifted nibbles of <= 15 sum to <= 240, comfortably inside the
-     * int16 lanes both gather paths accumulate in before the single
-     * bias-correcting subtract + dequantizing mul + add per group.
+     * shifted nibbles of <= 15 sum to <= 240, so the shuffle kernels sum
+     * a whole group in uint8 lanes (a static_assert beside them pins
+     * this) before the single bias-correcting subtract + dequantizing
+     * mul + add per group.
      */
     static constexpr int64_t kInt4ScaleGroup = kInt8ScaleGroup;
 
@@ -485,8 +545,8 @@ class LutTableArena
      * per byte (column-pair bit-plane split: low nibble = even column,
      * high nibble = odd column, both bias-shifted by +8). Codes are per
      * (row, subspace) and identical across columns, so one looked-up
-     * byte serves BOTH columns of a pair — the shuffle kernels unpack
-     * the two nibble planes with one AND + one shift per lookup. `q4`
+     * byte serves BOTH columns of a pair — the shuffle kernels split
+     * the two nibble planes in-register after each lookup. `q4`
      * row-major [Nc, c, ceil(N/2)] for the scalar sweep; `q4_il`
      * interleaved [Nc, ceil(N/2), 16] (c <= 16 only) so each
      * (subspace, column pair) is one vector-register LUT. Odd N leaves
@@ -529,18 +589,65 @@ class LutTableArena
         int64_t norm_stride = 0;      ///< max(c, 16)
     };
 
+    /**
+     * Rows of subspace `s` as the encode kernels read them: in place
+     * (stride K) for a full subspace, or — for the ragged tail of
+     * K % v != 0 — zero-padded into scratch.padded ([rows, v], stride v),
+     * exactly like ProductQuantizer::extractSubvector.
+     */
+    const float *subspaceRows(const float *x, int64_t rows, int64_t s,
+                              EncodeScratch &scratch,
+                              int64_t &stride) const;
+
     template <vq::Metric M, typename Sink>
-    void encodeRowsImpl(const float *x, int64_t rows, Sink &&sink) const;
+    void encodeRowsImpl(const float *x, int64_t rows,
+                        EncodeScratch &scratch, Sink &sink) const;
 
     template <typename Sink>
-    void encodeDispatch(const float *x, int64_t rows, Sink &&sink) const;
+    void encodeDispatch(const float *x, int64_t rows,
+                        EncodeScratch &scratch, Sink &sink) const;
 
     /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference or SIMD kernel per `variant` (Auto resolved by
-     * the caller). Shared by encodeBatchInt8 / encodeBlockInt8. */
+     * integer reference or SIMD kernel per `variant`. Shared by every
+     * INT8 encode entry point. */
     template <typename Sink>
     void encodeRowsInt8(const float *x, int64_t rows, EncodeVariant variant,
-                        Sink &&sink) const;
+                        EncodeScratch &scratch, Sink &sink) const;
+
+    /** BF16-round rows [0, rows) of `x` into scratch.staging when the
+     * arena demands it; returns the rows the encode kernels read. */
+    const float *stageInputs(const float *x, int64_t rows,
+                             EncodeScratch &scratch) const;
+
+    /** Resolve Auto and validate a quantized gather variant for this
+     * arena and CPU; returns the SIMD level its chunk kernel runs at
+     * (Generic for Scalar). */
+    util::SimdLevel int8GatherLevel(Int8GatherVariant &variant) const;
+    util::SimdLevel int4GatherLevel(Int4GatherVariant &variant) const;
+
+    /** Block-wise scalar sweep over packed codes: unpack each kRowBlock
+     * block row-major, zero it, run `sweep`, add the bias. */
+    template <typename Sweep>
+    void sweepPacked(const vq::CodeBuffer &codes, int64_t row0,
+                     int64_t rows, float *y, GatherScratch &scratch,
+                     Sweep &&sweep) const;
+
+    /** Chunk loop of the CodeBuffer quantized gathers: unpack each
+     * `chunk`-row span of [row0, row0 + rows) into scratch.planar and
+     * call `planar_gather(m, y_rows)` on it. */
+    template <typename PlanarGather>
+    void gatherPackedChunks(const vq::CodeBuffer &codes, int64_t row0,
+                            int64_t rows, int64_t chunk, float *y,
+                            GatherScratch &scratch,
+                            PlanarGather &&planar_gather) const;
+
+    /** Shared body of gatherPlanarInt8/Int4: run `chunk_kernel` over the
+     * planar lanes (pad lanes reset to code 0) and transpose the valid
+     * rows out, or `sweep` below chunk / 4 rows; then add the bias. */
+    template <typename ChunkKernel, typename Sweep>
+    void gatherPlanarChunk(int64_t rows, int64_t chunk, float *y,
+                           GatherScratch &scratch,
+                           ChunkKernel &&chunk_kernel, Sweep &&sweep) const;
 
     /** Row-major accumulate: optimal for tiny batches. */
     void sweepBlockSimple(const int32_t *codes, int64_t bn, float *yb) const;

@@ -156,6 +156,9 @@ ArenaStage::tileScratchBytesPerRow() const
 {
     // Packed centroid codes the tile carries between encode and gather,
     // plus the width-adapt materialization when a prologue was fused in.
+    // Knowingly approximate for fused quantized tiles: they hand off one
+    // chunk's [Nc, chunk] code bytes and [N, chunk] colmajor floats,
+    // which do not grow with tile rows, instead of packed codes.
     const int64_t code_bits = vq::codeBitsFor(arena_->numCentroids());
     int64_t bytes = (arena_->numSubspaces() * code_bits + 7) / 8;
     if (adapt_in_ > 0)

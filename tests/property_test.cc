@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "hw/dataflow.h"
 #include "lutboost/kernels.h"
@@ -20,6 +24,53 @@
 #include "util/rng.h"
 #include "vq/code_buffer.h"
 #include "vq/lut.h"
+
+// Global allocation counter for the steady-state no-allocation property:
+// every operator new in this binary bumps it, so a test can require that
+// a call made no heap allocation at all. The replacements stay out of
+// line so the compiler never pairs an inlined malloc with a free.
+namespace {
+std::atomic<int64_t> g_heap_allocs{0};
+} // namespace
+
+__attribute__((noinline)) void *
+operator new(std::size_t size)
+{
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace lutdla {
 namespace {
@@ -482,7 +533,7 @@ TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
         x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
 
     const int64_t nc = arena->numSubspaces();
-    std::vector<float> staging;
+    lutboost::EncodeScratch staging;
     vq::CodeBuffer scalar;
     arena->encodeBatchInt8(x.data(), rows, scalar, staging,
                            lutboost::EncodeVariant::Scalar);
@@ -536,9 +587,166 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values<int64_t>(23, 52, 64),
         ::testing::Values<int64_t>(3, 8),
         ::testing::Values<int64_t>(4, 16),
-        // chunk-boundary row counts: single, sub-chunk, one AVX2 chunk,
-        // one AVX-512 chunk +/- 1, ragged multi-chunk
-        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65, 130)));
+        // row counts around the encode lane groups (16 rows per zmm, 8
+        // per ymm) and the gather chunks: single, one lane group +/- 1,
+        // one AVX2 chunk, one AVX-512 chunk +/- 1, ragged multi-chunk
+        ::testing::Values<int64_t>(1, 15, 16, 17, 31, 32, 63, 64, 65,
+                                   130)));
+
+// ---- Property: the fused encode -> gather tile is bit-identical --------
+
+/** Gaussian rows with NaN / +Inf / -Inf planted in rows 2, 5 and 7 (when
+ * present), so the fused path's NaN/Inf handling is pinned too. */
+Tensor
+hostileRows(int64_t rows, int64_t k, uint64_t seed)
+{
+    Tensor x = randomMatrix(rows, k, seed);
+    if (rows > 2)
+        x.at(2 * k + 1) = std::numeric_limits<float>::quiet_NaN();
+    if (rows > 5)
+        x.at(5 * k + k - 1) = std::numeric_limits<float>::infinity();
+    if (rows > 7)
+        x.at(7 * k) = -std::numeric_limits<float>::infinity();
+    return x;
+}
+
+/**
+ * KernelBackend::forwardTile encodes each chunk straight into the shuffle
+ * gather's planar code lanes whenever the backend's gather runs a chunk
+ * kernel. For both encode precisions and both quantized banks it must
+ * produce exactly the bits of the split path at forced Scalar variants:
+ * encodeBatch / encodeBatchInt8(Scalar) into a CodeBuffer, then
+ * gatherAccumulateInt8/Int4(Scalar). Rows straddle the 8/16-row encode
+ * lane groups and the 32/64-row gather chunks (below chunk / 4 rows the
+ * planar gather runs the scalar sweep), K % v != 0 exercises the
+ * zero-padded tail
+ * subspace, and NaN / +-Inf rows ride along. One scratch is reused
+ * across every call, so stale planar lanes from an earlier, larger tile
+ * must never leak into a later one.
+ */
+class FusedTileBitIdentity
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>>
+{
+};
+
+TEST_P(FusedTileBitIdentity, MatchesSplitScalarReference)
+{
+    const auto [v, c, rows] = GetParam();
+    const int64_t k = 52;  // K % v != 0 for v in {3, 8}
+    const int64_t n = 71;  // odd: the INT4 dangling column rides along
+    vq::PQConfig pq;
+    pq.v = v;
+    pq.c = c;
+    lutboost::LutLinear layer(k, n, pq, /*bias=*/true,
+                              /*seed=*/static_cast<uint64_t>(v * 31 + c));
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt8Bank();
+    arena->ensureInt4Bank();
+    arena->ensureInt8EncodeBank();
+    ASSERT_NE(arena->numSubspaces() * v, k);
+
+    const Tensor x = hostileRows(rows, k, 300 + static_cast<uint64_t>(rows));
+    const lutboost::KernelBackend *backends[] = {
+        &lutboost::quantizedBackend(), &lutboost::int4Backend()};
+    if (util::simdLevel() >= util::SimdLevel::Avx2) {
+        for (const auto *backend : backends) {
+            ASSERT_GT(backend->planarGather(*arena).chunk, 0)
+                << backend->name() << " should fuse on this host";
+        }
+    }
+
+    lutboost::KernelScratch scratch;  // shared by every call below
+    for (const auto encode : {lutboost::EncodePrecision::Float32,
+                              lutboost::EncodePrecision::Int8}) {
+        vq::CodeBuffer codes;
+        lutboost::EncodeScratch es;
+        if (encode == lutboost::EncodePrecision::Int8)
+            arena->encodeBatchInt8(x.data(), rows, codes, es,
+                                   lutboost::EncodeVariant::Scalar);
+        else
+            arena->encodeBatch(x.data(), rows, codes, es);
+        for (const auto *backend : backends) {
+            Tensor want(Shape{rows, n});
+            lutboost::GatherScratch gs;
+            if (backend == &lutboost::int4Backend())
+                arena->gatherAccumulateInt4(
+                    codes, want.data(), gs,
+                    lutboost::Int4GatherVariant::Scalar);
+            else
+                arena->gatherAccumulateInt8(
+                    codes, want.data(), gs,
+                    lutboost::Int8GatherVariant::Scalar);
+            Tensor got(Shape{rows, n});
+            uint64_t encode_ns = 0, gather_ns = 0;
+            backend->forwardTile(*arena, x.data(), rows, got.data(),
+                                 scratch, &encode_ns, &gather_ns, encode);
+            EXPECT_TRUE(got.equals(want))
+                << backend->name() << " / "
+                << lutboost::encodePrecisionName(encode)
+                << " fused tile diverged: v=" << v << " c=" << c
+                << " rows=" << rows
+                << " maxdiff=" << Tensor::maxAbsDiff(got, want);
+            EXPECT_GT(encode_ns, 0u);
+            EXPECT_GT(gather_ns, 0u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AwkwardShapes, FusedTileBitIdentity,
+    ::testing::Combine(::testing::Values<int64_t>(3, 8),
+                       ::testing::Values<int64_t>(4, 16),
+                       ::testing::Values<int64_t>(1, 8, 15, 16, 17, 31, 32,
+                                                  63, 64, 65, 130, 256)));
+
+/**
+ * The steady-state contract KernelScratch promises: once a scratch has
+ * served one tile, serving the same tile again performs NO heap
+ * allocation — fused quantized tiles (both encode precisions, ragged
+ * chunk tails, a small tile whose planar gather runs the scalar sweep)
+ * and the unfused float backend.
+ */
+TEST(FusedTileScratch, WarmForwardTileAllocatesNothing)
+{
+    vq::PQConfig pq;
+    pq.v = 8;
+    pq.c = 16;
+    lutboost::LutLinear layer(52, 71, pq, /*bias=*/true, /*seed=*/17);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt8EncodeBank();
+    struct Case
+    {
+        const lutboost::KernelBackend *backend;
+        lutboost::EncodePrecision encode;
+        int64_t rows;
+    };
+    const Case cases[] = {
+        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 64},
+        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 130},
+        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 5},
+        {&lutboost::quantizedBackend(), lutboost::EncodePrecision::Float32,
+         100},
+        {&lutboost::referenceBackend(), lutboost::EncodePrecision::Float32,
+         64},
+    };
+    for (const Case &tc : cases) {
+        tc.backend->prepare(*arena);
+        const Tensor x = randomMatrix(tc.rows, 52, 5);
+        Tensor y(Shape{tc.rows, 71});
+        lutboost::KernelScratch scratch;
+        tc.backend->forwardTile(*arena, x.data(), tc.rows, y.data(),
+                                scratch, nullptr, nullptr, tc.encode);
+        const int64_t before = g_heap_allocs.load();
+        tc.backend->forwardTile(*arena, x.data(), tc.rows, y.data(),
+                                scratch, nullptr, nullptr, tc.encode);
+        EXPECT_EQ(g_heap_allocs.load() - before, 0)
+            << tc.backend->name() << " / "
+            << lutboost::encodePrecisionName(tc.encode)
+            << " rows=" << tc.rows;
+    }
+}
 
 // ---- Property: generic-c float SIMD encode is bit-exact vs scalar ------
 
@@ -609,12 +817,12 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
                 for (const util::SimdLevel level : levels) {
                     ASSERT_TRUE(
                         lutboost::simd::encodeL2GenericSupported(level, c));
-                    std::vector<int32_t> got(static_cast<size_t>(rows), -1);
+                    std::vector<uint8_t> got(static_cast<size_t>(rows), 0xFF);
                     lutboost::simd::encodeL2GenericRows(
                         level, x.data(), rows, stride, cbt.data(), v, c,
                         got.data());
                     for (int64_t r = 0; r < rows; ++r)
-                        ASSERT_EQ(got[static_cast<size_t>(r)],
+                        ASSERT_EQ(static_cast<int32_t>(got[static_cast<size_t>(r)]),
                                   want[static_cast<size_t>(r)])
                             << util::simdLevelName(level) << " c=" << c
                             << " v=" << v << " rows=" << rows
