@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "lutboost/kernels.h"
+#include "nn/activations.h"
+#include "nn/attention.h"
 #include "tensor/gemm.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
@@ -389,7 +391,97 @@ BM_ArenaTileInt4Int8EncSplit(benchmark::State &state)
     tileInt4Int8Enc(state, false);
 }
 
+/** The SIMD tier a float-math benchmark forces (its first argument), or
+ * false after skipping when the host does not have it. */
+bool
+forcedLevel(benchmark::State &state, util::SimdLevel *level)
+{
+    *level = static_cast<util::SimdLevel>(state.range(0));
+    state.SetLabel(util::simdLevelName(*level));
+    if (*level > util::simdLevel()) {
+        state.SkipWithError("SIMD level not available on this host");
+        return false;
+    }
+    return true;
+}
+
+/**
+ * The fused GELU epilogue of the transformer-f32 FFN-up stage: the span
+ * nn::geluForward over a 256-row x 128-wide batch, at a forced tier.
+ */
+void
+BM_GeluSpan(benchmark::State &state)
+{
+    util::SimdLevel level;
+    if (!forcedLevel(state, &level))
+        return;
+    const Tensor src = randomMatrix(state.range(1), state.range(2), 4);
+    std::vector<float> y(static_cast<size_t>(src.numel()));
+    for (auto _ : state) {
+        std::memcpy(y.data(), src.data(), y.size() * sizeof(float));
+        nn::geluForward(y.data(), src.numel(), level);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * src.numel());
+}
+
+/**
+ * The scaled-dot-product core of the transformer-f32 attention stage:
+ * nn::attentionSequenceContext over a 256-row batch of 4 sequences
+ * (T=64, 4 heads, d_model=64), at a forced tier. Items are sequences.
+ */
+void
+BM_AttentionCore(benchmark::State &state)
+{
+    util::SimdLevel level;
+    if (!forcedLevel(state, &level))
+        return;
+    const int64_t sequences = state.range(1), T = state.range(2);
+    const int64_t heads = state.range(3), d_model = state.range(4);
+    const Tensor q = randomMatrix(sequences * T, d_model, 5);
+    const Tensor k = randomMatrix(sequences * T, d_model, 6);
+    const Tensor v = randomMatrix(sequences * T, d_model, 7);
+    std::vector<float> ctx(static_cast<size_t>(q.numel()));
+    std::vector<float> probs(static_cast<size_t>(heads * T * T));
+    std::vector<float> keys_t(static_cast<size_t>(d_model * T));
+    for (auto _ : state) {
+        std::fill(ctx.begin(), ctx.end(), 0.0f);
+        for (int64_t b = 0; b < sequences; ++b) {
+            const int64_t off = b * T * d_model;
+            nn::attentionSequenceContext(q.data() + off, k.data() + off,
+                                         v.data() + off, T, heads, d_model,
+                                         ctx.data() + off, probs.data(),
+                                         keys_t.data(), level);
+        }
+        benchmark::DoNotOptimize(ctx.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * sequences);
+}
+
+/** Registers one float-math benchmark at every SIMD tier. */
+void
+allTiers(benchmark::internal::Benchmark *b, std::vector<int64_t> args)
+{
+    for (const util::SimdLevel level :
+         {util::SimdLevel::Generic, util::SimdLevel::Avx2,
+          util::SimdLevel::Avx512}) {
+        std::vector<int64_t> tier_args{static_cast<int64_t>(level)};
+        tier_args.insert(tier_args.end(), args.begin(), args.end());
+        b->Args(tier_args);
+    }
+    b->Unit(benchmark::kMicrosecond);
+}
+
 } // namespace
+
+BENCHMARK(BM_GeluSpan)->Apply([](benchmark::internal::Benchmark *b) {
+    allTiers(b, {256, 128});
+});
+BENCHMARK(BM_AttentionCore)->Apply([](benchmark::internal::Benchmark *b) {
+    allTiers(b, {4, 64, 4, 64});
+});
 
 BENCHMARK(BM_ExactGemm)
     ->Args({128, 256, 256})

@@ -1,6 +1,5 @@
 #include "nn/activations.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -36,17 +35,6 @@ namespace {
 
 constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
 
-} // namespace
-
-float
-geluForward(float x)
-{
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-namespace {
-
 float
 geluGrad(float x)
 {
@@ -66,8 +54,7 @@ GELU::forward(const Tensor &x, bool train)
     if (train)
         cached_input_ = x;
     Tensor y = x;
-    for (int64_t i = 0; i < y.numel(); ++i)
-        y.at(i) = geluForward(y.at(i));
+    geluForward(y.data(), y.numel());
     return y;
 }
 
@@ -80,26 +67,6 @@ GELU::backward(const Tensor &grad_out)
     for (int64_t i = 0; i < g.numel(); ++i)
         g.at(i) *= geluGrad(cached_input_.at(i));
     return g;
-}
-
-void
-softmaxForward(const float *x, int64_t rows, int64_t features, float *y)
-{
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *xr = x + r * features;
-        float *yr = y + r * features;
-        float row_max = -1e30f;
-        for (int64_t j = 0; j < features; ++j)
-            row_max = std::max(row_max, xr[j]);
-        float denom = 0.0f;
-        for (int64_t j = 0; j < features; ++j) {
-            yr[j] = std::exp(xr[j] - row_max);
-            denom += yr[j];
-        }
-        const float inv = 1.0f / denom;
-        for (int64_t j = 0; j < features; ++j)
-            yr[j] *= inv;
-    }
 }
 
 Tensor

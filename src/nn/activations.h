@@ -9,15 +9,41 @@
  */
 
 #include "nn/layer.h"
+#include "util/cpu_features.h"
 
 namespace lutdla::nn {
 
 /**
- * Scalar tanh-approximation GELU (as in BERT). Exposed so the serving
- * layer's frozen stages reuse the exact same math as GELU::forward —
- * the engine's bit-exactness contract depends on a single definition.
+ * @name Shared float math (nn/simd_math.cc)
+ *
+ * One definition each, shared by the eval layers and the serving stages,
+ * so the engine's bit-exactness contract holds by construction. Each runs
+ * one template body per SIMD tier (generic scalar, AVX2, AVX-512) with
+ * separate IEEE mul/add (never FMA), so every tier returns the same bits
+ * and none depends on the C math library. `level` defaults to the
+ * runtime-dispatched tier (util::simdLevel(), LUTDLA_SIMD cap included);
+ * tests force each tier, which must not exceed util::simdLevel().
+ * @{
  */
-float geluForward(float x);
+
+/**
+ * Deterministic e^x over `n` floats: Cody-Waite range reduction, a
+ * polynomial, and an exact 2^n scale. Within 1 ulp of the correctly
+ * rounded result over the whole float range, denormal results
+ * included; overflows to +inf past FLT_MAX, NaN in gives NaN out.
+ * In-place operation (y == x) is allowed.
+ */
+void expForward(const float *x, int64_t n, float *y,
+                util::SimdLevel level = util::simdLevel());
+
+/**
+ * In-place tanh-approximation GELU (as in BERT) over `n` floats, as
+ * 0.5 x (1 + tanh u) == x / (1 + e^(-2u)), u = sqrt(2/pi) (x + 0.044715
+ * x^3), with e^ from expForward. GELU::forward and the serving layer's
+ * fused epilogues both run it.
+ */
+void geluForward(float *data, int64_t n,
+                 util::SimdLevel level = util::simdLevel());
 
 /** Scalar ReLU; the single definition ReLU::forward and serving share. */
 inline float
@@ -50,15 +76,17 @@ void globalAvgPoolForward(const float *x, int64_t n, int64_t c, int64_t h,
 
 /**
  * Numerically stable row-wise softmax: y[r, :] = softmax(x[r, :]), with
- * the row max subtracted before exponentiation so logits anywhere in
- * float range (|x| ~ 1e4 and beyond) never overflow exp. Single
- * definition shared by Softmax::forward, MultiHeadSelfAttention's
- * probability rows, and the serving layer's SoftmaxStage — the engine's
- * bit-exactness contract depends on all three running these exact float
- * ops in this exact order. In-place operation (y == x) is allowed.
+ * the row max (NaN skipped, from -inf) subtracted before exponentiation
+ * so logits anywhere in float range (|x| ~ 1e4 and beyond, or all below
+ * -1e30) never overflow exp. Each row's denominator is summed in
+ * ascending column order. Single definition shared by Softmax::forward,
+ * MultiHeadSelfAttention's probability rows, and the serving layer's
+ * SoftmaxStage. In-place operation (y == x) is allowed.
  */
 void softmaxForward(const float *x, int64_t rows, int64_t features,
-                    float *y);
+                    float *y, util::SimdLevel level = util::simdLevel());
+
+/** @} */
 
 /** max(0, x). */
 class ReLU : public Layer

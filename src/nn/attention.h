@@ -16,26 +16,30 @@
 #include "nn/linear.h"
 #include "nn/norm.h"
 #include "nn/sequential.h"
+#include "util/cpu_features.h"
 
 namespace lutdla::nn {
 
 /**
  * Scaled-dot-product attention kernel for ONE sequence, shared by
  * MultiHeadSelfAttention::forward and the serving layer's AttentionStage
- * (single definition, bit-exact). `q`/`k`/`v` are that sequence's
- * [seq_len, d_model] projection planes; heads are column slices of width
- * d_model/heads (no materialized transpose). Per head and query row it
- * computes the scaled dots, runs the stable shared softmax
- * (softmaxForward: row-max subtraction, so huge logits never overflow
- * exp), and accumulates the probability-weighted value rows into `ctx`,
- * which the CALLER must zero-initialize. `probs` is [heads, seq_len,
- * seq_len] caller scratch (training wants it cached; serving reuses a
- * per-worker plane).
+ * (single definition, bit-exact; implemented in nn/simd_math.cc beside
+ * the shared exp). `q`/`k`/`v` are that sequence's [seq_len, d_model]
+ * projection planes; heads are column slices of width d_model/heads. Per
+ * head it computes the scaled dots with keys in lanes (each dot one
+ * ascending-j chain of mul then add), runs the shared stable
+ * softmaxForward over the probability rows, and accumulates the
+ * probability-weighted value rows into `ctx` with head dims in lanes, in
+ * ascending key order. The CALLER must zero-initialize `ctx`. `probs` is
+ * [heads, seq_len, seq_len] caller scratch (training wants it cached;
+ * serving reuses a per-worker plane) and `keys_t` is [d_model, seq_len]
+ * caller scratch for the transposed K. See expForward for `level`.
  */
 void attentionSequenceContext(const float *q, const float *k,
                               const float *v, int64_t seq_len,
                               int64_t heads, int64_t d_model, float *ctx,
-                              float *probs);
+                              float *probs, float *keys_t,
+                              util::SimdLevel level = util::simdLevel());
 
 /** Self-attention over [B*T, D] rows with a fixed sequence length. */
 class MultiHeadSelfAttention : public Layer

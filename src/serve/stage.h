@@ -117,8 +117,9 @@ struct StageScratch
     /** Attention working planes (Q/K/V projections and the per-sequence
      * context accumulator), sized [rows, d_model] by AttentionStage. */
     std::vector<float> attn_q, attn_k, attn_v, attn_ctx;
-    /** Attention probability rows [heads, T, T]; per-PARTICIPANT scratch
-     * (each sharded sequence runs with its executing worker's plane). */
+    /** Attention probability rows [heads, T, T] followed by the
+     * transposed K [d_model, T]; per-PARTICIPANT scratch (each sharded
+     * sequence runs with its executing worker's plane). */
     std::vector<float> attn_probs;
     /**
      * Tile-local activation planes for the row-tiled segment executor

@@ -215,16 +215,19 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
               scratch.attn_ctx.begin() + static_cast<size_t>(total), 0.0f);
     const int64_t sequences = rows / seq_len_;
     const int64_t probs_floats = heads_ * seq_len_ * seq_len_;
+    const int64_t keys_t_floats = d_model_ * seq_len_;
     const float *q = scratch.attn_q.data();
     const float *k = scratch.attn_k.data();
     const float *v = scratch.attn_v.data();
     float *ctx = scratch.attn_ctx.data();
     const auto run_sequence = [&](int64_t b, StageScratch &local) {
-        local.attn_probs.resize(static_cast<size_t>(probs_floats));
+        local.attn_probs.resize(
+            static_cast<size_t>(probs_floats + keys_t_floats));
+        float *probs = local.attn_probs.data();
         const int64_t off = b * seq_len_ * d_model_;
         nn::attentionSequenceContext(q + off, k + off, v + off, seq_len_,
-                                     heads_, d_model_, ctx + off,
-                                     local.attn_probs.data());
+                                     heads_, d_model_, ctx + off, probs,
+                                     probs + probs_floats);
     };
     if (scratch.pool != nullptr && sequences >= 2) {
         scratch.pool->parallelFor(sequences, run_sequence, scratch);

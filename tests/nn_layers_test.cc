@@ -174,10 +174,25 @@ TEST(GELU, Gradient)
 TEST(GELU, KnownValues)
 {
     GELU gelu;
-    Tensor x(Shape{1, 2}, std::vector<float>{0.0f, 3.0f});
+    Tensor x(Shape{1, 6}, std::vector<float>{0.0f, 3.0f, -3.0f, 1.0f,
+                                              -20.0f, 20.0f});
     Tensor y = gelu.forward(x, false);
     EXPECT_NEAR(y.at(0), 0.0f, 1e-6f);
     EXPECT_NEAR(y.at(1), 2.996f, 5e-3f);
+    EXPECT_NEAR(y.at(2), -0.00364f, 1e-5f);
+    EXPECT_NEAR(y.at(3), 0.8412f, 1e-4f);
+    EXPECT_EQ(y.at(4), 0.0f);
+    EXPECT_EQ(y.at(5), 20.0f);
+}
+
+TEST(GELU, ForwardIsTheSharedSpanKernel)
+{
+    // GELU::forward and the serving epilogue both run geluForward's span.
+    GELU gelu;
+    const Tensor x = randomTensor({3, 37}, 18, 3.0);
+    Tensor span = x;
+    geluForward(span.data(), span.numel());
+    EXPECT_TRUE(gelu.forward(x, false).equals(span));
 }
 
 TEST(MaxPool2d, ForwardAndGradient)
@@ -294,6 +309,31 @@ TEST(Loss, SoftmaxCrossEntropyKnownValue)
     Tensor g = loss.backward();
     EXPECT_NEAR(g.at(0, 0), -0.5f, 1e-6f);
     EXPECT_NEAR(g.at(0, 1), 0.5f, 1e-6f);
+}
+
+TEST(Softmax, FiniteLogitsBelowMinusOneE30Regression)
+{
+    // The row max used to start at -1e30, so a row of finite logits all
+    // below it subtracted the wrong max, every exp underflowed to 0, and
+    // 0 / 0 gave NaN. It starts at -inf now.
+    Tensor x(Shape{1, 3}, std::vector<float>{-2e30f, -3e30f, -2e30f});
+    Tensor y(Shape{1, 3});
+    softmaxForward(x.data(), 1, 3, y.data());
+    EXPECT_EQ(y.at(0, 0), 0.5f);
+    EXPECT_EQ(y.at(0, 1), 0.0f);
+    EXPECT_EQ(y.at(0, 2), 0.5f);
+}
+
+TEST(Loss, SoftmaxCrossEntropyFiniteBelowMinusOneE30Regression)
+{
+    // Same -1e30 row-max start as softmaxForward had: the loss was NaN.
+    SoftmaxCrossEntropy loss;
+    Tensor logits(Shape{1, 3}, std::vector<float>{-2e30f, -3e30f, -2e30f});
+    EXPECT_NEAR(loss.forward(logits, {0}), std::log(2.0), 1e-6);
+    Tensor g = loss.backward();
+    EXPECT_NEAR(g.at(0, 0), -0.5f, 1e-6f);
+    EXPECT_NEAR(g.at(0, 1), 0.0f, 1e-6f);
+    EXPECT_NEAR(g.at(0, 2), 0.5f, 1e-6f);
 }
 
 TEST(Loss, Accuracy)

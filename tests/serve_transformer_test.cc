@@ -400,13 +400,15 @@ TEST(FrozenModel, TransformerLoweringErrorsNameOffendingLayer)
 TEST(Softmax, StableUnderExtremeLogitsRegression)
 {
     // +/-1e4 logits overflow naive exp(x) to inf/NaN; the shared
-    // row-max-subtracting kernel must stay finite and normalized.
-    const int64_t rows = 3, features = 5;
+    // row-max-subtracting kernel must stay finite and normalized, also
+    // for finite logits all below -1e30 (the row max starts at -inf).
+    const int64_t rows = 4, features = 5;
     Tensor x(Shape{rows, features});
     const float logits[rows][features] = {
         {1.0e4f, -1.0e4f, 9.999e3f, 0.0f, -5.0e3f},
         {-1.0e4f, -1.0e4f, -1.0e4f, -1.0e4f, -1.0e4f},
-        {1.0e4f, 1.0e4f, 1.0e4f, 1.0e4f, 1.0e4f}};
+        {1.0e4f, 1.0e4f, 1.0e4f, 1.0e4f, 1.0e4f},
+        {-2.0e30f, -3.0e30f, -2.0e30f, -2.0e30f, -3.0e30f}};
     for (int64_t r = 0; r < rows; ++r)
         for (int64_t j = 0; j < features; ++j)
             x.at(r, j) = logits[r][j];
@@ -431,6 +433,10 @@ TEST(Softmax, StableUnderExtremeLogitsRegression)
         EXPECT_NEAR(y.at(1, j), 0.2f, 1e-5f);
         EXPECT_NEAR(y.at(2, j), 0.2f, 1e-5f);
     }
+    // Row 3: the three -2e30 logits share the mass; -3e30 gets none.
+    for (int64_t j = 0; j < features; ++j)
+        EXPECT_NEAR(y.at(3, j), logits[3][j] == -2.0e30f ? 1.0f / 3 : 0.0f,
+                    1e-6f);
 
     // The nn::Softmax layer and the serving SoftmaxStage both run this
     // exact kernel: the layer's forward must be bit-identical to it.
