@@ -73,9 +73,10 @@ struct ServeOptions
     /**
      * SLO fields for multi-tenant deployments: batching window, priority
      * stratum, and default deadline the front-door scheduler applies to
-     * this model. Read by publishModel()/publishTraceModel() (the
-     * single-model makeEngine() path ignores it — the engine has no
-     * scheduler to enforce SLOs).
+     * this model. Read by publishModel()/publishTraceModel(). The
+     * makeEngine() builders ignore it: an engine runs the same scheduler
+     * but derives its ModelSlo from `engine` (max_batch, max_wait_us) at
+     * priority 0 with no deadline.
      */
     serve::ModelSlo slo;
     /**

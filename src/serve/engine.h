@@ -3,30 +3,21 @@
 
 /**
  * @file
- * InferenceEngine: batched multi-threaded serving on top of a FrozenModel.
+ * InferenceEngine: batched multi-threaded serving of ONE frozen model.
  *
  * Once LUTBoost freezes a model, inference is pure table-gather-and-
- * accumulate — an embarrassingly batchable workload. The engine exploits
- * that with a bounded MPMC request queue and a worker pool that performs
- * dynamic batching: a worker opens a batch with the first request it pops,
- * then keeps admitting requests until the batch holds `max_batch` rows or
- * `max_wait_us` has elapsed since the batch opened, whichever comes first.
- * The coalesced rows run through the frozen stage graph
- * (FrozenModel::forwardBatch): each worker iterates the model's stages with
- * its own reusable StageScratch, so steady-state batches perform no
- * allocations and each LUT stage's row-blocked arena kernel is where the
- * throughput comes from — every subspace's table bank is loaded into cache
- * once per batch instead of once per row.
- *
- * Intra-batch parallelism: dynamic batching alone serializes a LARGE
- * batch on the one worker that coalesced it, so on a multi-worker engine
- * each LUT stage additionally shards its encode and gather phases over
- * the pool (IntraBatchPool, implemented here): the initiating worker
- * publishes a shard task on the shared WorkQueue, idle workers steal row
- * blocks from it (wait-free atomic cursor), and every participant runs
- * kernels with its own scratch. Busy workers simply don't help — progress
- * never depends on a free worker — and results are bit-exact with the
- * unsharded sweep because shards cover disjoint rows.
+ * accumulate — an embarrassingly batchable workload. The engine is a thin
+ * one-model façade over the serving stack's single scheduler, FrontDoor
+ * (serve/frontdoor.h): create() publishes the model once into a private
+ * front door and maps EngineOptions onto it — `threads`,
+ * `queue_capacity` and `autostart` become FrontDoorOptions, `max_batch`
+ * and `max_wait_us` become a ModelSlo at priority 0 with no deadline.
+ * One model at one priority with no deadline reduces the front door's
+ * priority + EDF batch former to FIFO dynamic batching: a worker opens a
+ * batch with the oldest request, then keeps admitting requests until the
+ * batch holds `max_batch` rows or `max_wait_us` has elapsed since it
+ * opened. Large batches shard their LUT-stage encode/gather phases over
+ * the idle workers (IntraBatchPool), bit-exact with the unsharded sweep.
  *
  * Request lifecycle: submitAsync() validates, stamps, and enqueues the
  * request and returns a future; a worker later fulfills the promise with
@@ -40,23 +31,21 @@
  * unboundedly). AdmitOptions bounds that wait: max_wait_us = 0 is the
  * non-blocking trySubmit path, > 0 waits at most that long; either way a
  * full queue answers with a typed ResourceExhausted instead of blocking.
- * The multi-tenant FrontDoor (serve/frontdoor.h) builds its never-block
- * priority shedding on the same principle.
+ * With no worker running (before start(), or after shutdown()) a
+ * submission that cannot be queued answers FailedPrecondition.
  *
  * Shutdown contract: shutdown() refuses new submissions, lets workers
  * drain everything already queued, then joins them; every accepted request
- * still gets its result. The destructor calls shutdown().
+ * still gets its result. Destroying the engine shuts it down the same
+ * way.
  */
 
 #include <future>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "api/status.h"
+#include "serve/frontdoor.h"
 #include "serve/frozen_model.h"
-#include "serve/request_queue.h"
 #include "serve/stats.h"
 #include "tensor/tensor.h"
 
@@ -108,28 +97,24 @@ struct AdmitOptions
     }
 };
 
-/** Batched multi-threaded inference engine over a frozen LUT model.
- * Implements IntraBatchPool so LUT stages can shard a batch's encode /
- * gather phases across the worker pool. */
-class InferenceEngine : private IntraBatchPool
+/** Batched multi-threaded inference engine over one frozen LUT model:
+ * a FrontDoor with that model published once. */
+class InferenceEngine
 {
   public:
     /**
      * Validate options and build an engine. InvalidArgument on nonsense
-     * knobs (threads < 0, max_batch < 1, ...). The returned engine is
-     * ready for submissions (workers already running when autostart).
+     * knobs (threads < 0, max_batch < 1 or below the model's row group,
+     * ...; messages name the FrontDoorOptions / ModelSlo field the knob
+     * maps to); FailedPrecondition for a model with no stages. The
+     * returned engine is ready for submissions (workers already running
+     * when autostart).
      */
     static api::Result<std::shared_ptr<InferenceEngine>>
     create(FrozenModel model, const EngineOptions &options = {});
 
-    /** Prefer create(); this constructor trusts `options` blindly. */
-    InferenceEngine(FrozenModel model, const EngineOptions &options);
-
     InferenceEngine(const InferenceEngine &) = delete;
     InferenceEngine &operator=(const InferenceEngine &) = delete;
-
-    /** Graceful shutdown() — accepted requests are always answered. */
-    ~InferenceEngine();
 
     /** Spawn the worker pool; idempotent; no-op after shutdown(). */
     void start();
@@ -144,7 +129,8 @@ class InferenceEngine : private IntraBatchPool
     /**
      * Serve one request of [rows, inputWidth()] and block for the result.
      * Errors come back as statuses: InvalidArgument for zero rows, width
-     * mismatch, or rows > max_batch; FailedPrecondition after shutdown().
+     * mismatch, rows > max_batch, or rows not a multiple of the model's
+     * rowGroup(); FailedPrecondition after shutdown().
      */
     api::Result<Tensor> submit(const Tensor &rows);
 
@@ -167,62 +153,24 @@ class InferenceEngine : private IntraBatchPool
      */
     api::Result<Tensor> trySubmit(const Tensor &rows);
 
-    /** Consistent snapshot of the lifetime serving statistics. */
+    /** Consistent snapshot of the lifetime serving statistics, read from
+     * the front door's books. */
     EngineStats stats() const;
 
     /** The frozen model being served. */
-    const FrozenModel &model() const { return model_; }
+    const FrozenModel &model() const { return snapshot_->model; }
 
     /** The options the engine runs with. */
     const EngineOptions &options() const { return options_; }
 
   private:
-    struct Request
-    {
-        Tensor input;
-        std::promise<api::Result<Tensor>> promise;
-        std::chrono::steady_clock::time_point enqueued;
-        int64_t rows = 0;
-    };
+    InferenceEngine(std::shared_ptr<FrontDoor> door, SnapshotPtr snapshot,
+                    const EngineOptions &options);
 
-    void workerLoop(int slot);
-    void runBatch(std::vector<Request> &batch, int64_t rows,
-                  StageScratch &scratch, int slot);
-    void failRemaining();
-
-    /** Claim-and-run loop every shard participant executes. Returns
-     * whether this participant executed at least one block — workerLoop
-     * uses that to count shard-stealing helpers as active workers. */
-    bool runShards(ShardTask &task, StageScratch &scratch);
-
-    /** IntraBatchPool: shard a LUT-stage phase over the worker pool. */
-    void parallelFor(int64_t blocks, const ShardFn &fn,
-                     StageScratch &caller) override;
-
-    FrozenModel model_;
+    /** Sole owner; destroying it is the graceful shutdown(). */
+    std::shared_ptr<FrontDoor> door_;
+    SnapshotPtr snapshot_;  ///< the one published version
     EngineOptions options_;
-    WorkQueue<Request> queue_;
-
-    std::mutex lifecycle_mu_;
-    std::vector<std::thread> workers_;
-    bool started_ = false;
-    bool shut_down_ = false;
-
-    mutable std::mutex stats_mu_;
-    uint64_t requests_ = 0;
-    uint64_t rows_ = 0;
-    uint64_t batches_ = 0;
-    uint64_t rejected_ = 0;
-    std::vector<uint64_t> batch_fill_;
-    uint64_t encode_ns_ = 0;
-    uint64_t gather_ns_ = 0;
-    std::vector<uint8_t> worker_ran_batch_;  ///< per-slot participation
-    LatencyHistogram latency_;
-    LatencyHistogram queue_wait_;  ///< submit -> batch execution start
-    LatencyHistogram service_;     ///< batch execution start -> done
-    bool saw_first_submit_ = false;
-    std::chrono::steady_clock::time_point first_submit_;
-    std::chrono::steady_clock::time_point last_done_;
 };
 
 } // namespace lutdla::serve

@@ -48,6 +48,10 @@ FrontDoor::start()
     if (started_ || closed_)
         return;
     started_ = true;
+    {
+        std::unique_lock<std::mutex> stats_lock(stats_mu_);
+        worker_active_.assign(static_cast<size_t>(options_.threads), 0);
+    }
     workers_.reserve(static_cast<size_t>(options_.threads));
     for (int i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -63,6 +67,7 @@ FrontDoor::shutdown()
         closed_ = true;
         work_.notify_all();
         task_done_.notify_all();
+        space_.notify_all();
     }
     for (std::thread &worker : workers_)
         worker.join();
@@ -121,7 +126,8 @@ FrontDoor::submitCancellable(const std::string &model, Tensor rows,
 std::future<api::Result<Tensor>>
 FrontDoor::enqueue(const std::string &model, Tensor rows,
                    const RequestOptions &options,
-                   std::shared_ptr<std::atomic<bool>> cancel_flag)
+                   std::shared_ptr<std::atomic<bool>> cancel_flag,
+                   std::optional<int64_t> engine_wait_us)
 {
     std::promise<api::Result<Tensor>> promise;
     std::future<api::Result<Tensor>> future = promise.get_future();
@@ -132,12 +138,7 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
     // never admissible, as opposed to admissible traffic dropped under
     // overload.
     auto reject = [&](api::Status status) {
-        {
-            std::unique_lock<std::mutex> stats_lock(stats_mu_);
-            total_accum_.rejected++;
-            model_accum_[model].rejected++;
-            tenant_accum_[tenant].rejected++;
-        }
+        count(&LaneAccum::rejected, model, tenant);
         promise.set_value(std::move(status));
         return std::move(future);
     };
@@ -161,6 +162,12 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
             "request of " + std::to_string(rows.dim(0)) +
             " rows exceeds '" + model + "' slo.max_batch " +
             std::to_string(slo.max_batch) + "; split it"));
+    if (rows.dim(0) % snapshot->model.rowGroup() != 0)
+        return reject(api::Status::invalidArgument(
+            "request of " + std::to_string(rows.dim(0)) +
+            " rows is not a multiple of the model's sequence length " +
+            std::to_string(snapshot->model.rowGroup()) +
+            "; attention models serve whole [B*seq_len, D] sequences"));
 
     Req req;
     req.rows = rows.dim(0);
@@ -182,24 +189,33 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
         req.deadline =
             req.enqueued + std::chrono::microseconds(deadline_us);
     }
-    req.promise = std::move(promise);
 
     std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) {
-        Req refused = std::move(req);
-        lock.unlock();
-        std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        total_accum_.rejected++;
-        model_accum_[model].rejected++;
-        tenant_accum_[tenant].rejected++;
-        stats_lock.unlock();
-        refused.promise.set_value(api::Status::failedPrecondition(
-            "front door is shut down; create a new one"));
-        return future;
+    // The engine's backpressure: wait for space while workers run.
+    const auto has_space = [&] {
+        return closed_ || total_queued_ < options_.queue_capacity;
+    };
+    if (engine_wait_us && *engine_wait_us != 0 && started_) {
+        if (*engine_wait_us < 0)
+            space_.wait(lock, has_space);
+        else
+            space_.wait_for(lock,
+                            std::chrono::microseconds(*engine_wait_us),
+                            has_space);
     }
+    if (closed_ || (engine_wait_us && !started_ && !has_space())) {
+        const bool closed = closed_;
+        lock.unlock();
+        return reject(api::Status::failedPrecondition(
+            closed ? "front door is shut down; create a new one"
+                   : "request queue is full and no workers are "
+                     "running; call start() or raise queue_capacity"));
+    }
+    req.promise = std::move(promise);
 
     if (total_queued_ >= options_.queue_capacity) {
-        // Overload: never block the submitter. Evict the worst queued
+        // Overload: the front door never blocks the submitter (an engine
+        // submission has already waited above). Evict the worst queued
         // request (lowest priority, then latest deadline, then newest)
         // iff the incoming one strictly outranks it; otherwise refuse
         // the incoming request. Either way the loser gets a typed
@@ -232,15 +248,20 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
             if (victim_queue->second.empty())
                 queues_.erase(victim_queue);
             --total_queued_;
-            shed(victim, Shed::Capacity,
-                 "shed under overload: evicted by higher-priority "
-                 "traffic while the queue was full");
+            shed(victim, &LaneAccum::shed_capacity,
+                 api::Status::resourceExhausted(
+                     "shed under overload: evicted by higher-priority "
+                     "traffic while the queue was full"));
         } else {
             Req refused = std::move(req);
             lock.unlock();
-            shed(refused, Shed::Capacity,
-                 "shed under overload: queue is full and no "
-                 "lower-priority request can be evicted");
+            shed(refused, &LaneAccum::shed_capacity,
+                 api::Status::resourceExhausted(
+                     engine_wait_us && *engine_wait_us > 0
+                         ? "shed under overload: queue stayed full for " +
+                               std::to_string(*engine_wait_us) + " us"
+                         : "shed under overload: queue is full and no "
+                           "lower-priority request can be evicted"));
             return future;
         }
     }
@@ -254,45 +275,41 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
         ++pos;
     queue.insert(pos, std::move(req));
     ++total_queued_;
-    {
-        std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        total_accum_.accepted++;
-        model_accum_[model].accepted++;
-        tenant_accum_[tenant].accepted++;
-    }
+    count(&LaneAccum::accepted, model, tenant);
     work_.notify_one();
     return future;
 }
 
 void
-FrontDoor::shed(Req &req, Shed kind, const std::string &message)
+FrontDoor::count(Counter counter, const std::string &model,
+                 const std::string &tenant)
 {
-    api::Status status;
-    switch (kind) {
-      case Shed::Capacity:
-        status = api::Status::resourceExhausted(message);
-        break;
-      case Shed::Deadline:
-        status = api::Status::deadlineExceeded(message);
-        break;
-      case Shed::Cancel:
-        status = api::Status::cancelled(message);
-        break;
-    }
-    {
-        std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        auto bump = [&](LaneAccum &lane) {
-            switch (kind) {
-              case Shed::Capacity: lane.shed_capacity++; break;
-              case Shed::Deadline: lane.shed_deadline++; break;
-              case Shed::Cancel:   lane.cancelled++;     break;
-            }
-        };
-        bump(total_accum_);
-        bump(model_accum_[req.snapshot->name]);
-        bump(tenant_accum_[req.tenant]);
-    }
+    std::unique_lock<std::mutex> stats_lock(stats_mu_);
+    ++(total_accum_.*counter);
+    ++(model_accum_[model].*counter);
+    ++(tenant_accum_[tenant].*counter);
+}
+
+void
+FrontDoor::shed(Req &req, Counter counter, api::Status status)
+{
+    count(counter, req.snapshot->name, req.tenant);
     req.promise.set_value(std::move(status));
+}
+
+bool
+FrontDoor::shedIfDead(Req &req)
+{
+    if (req.cancelled && req.cancelled->load(std::memory_order_relaxed))
+        shed(req, &LaneAccum::cancelled,
+             api::Status::cancelled("request cancelled before execution"));
+    else if (Clock::now() > req.deadline)
+        shed(req, &LaneAccum::shed_deadline,
+             api::Status::deadlineExceeded(
+                 "deadline expired before the request was scheduled"));
+    else
+        return false;
+    return true;
 }
 
 FrontDoor::Req
@@ -317,6 +334,7 @@ FrontDoor::popBestLocked()
     if (best->second.empty())
         queues_.erase(best);
     --total_queued_;
+    space_.notify_all();
     return out;
 }
 
@@ -329,7 +347,7 @@ FrontDoor::higherPriorityPendingLocked(int priority) const
     return false;
 }
 
-std::shared_ptr<ShardTask>
+std::shared_ptr<FrontDoor::ShardTask>
 FrontDoor::claimableTaskLocked() const
 {
     for (const auto &task : tasks_)
@@ -338,15 +356,17 @@ FrontDoor::claimableTaskLocked() const
     return nullptr;
 }
 
-void
+bool
 FrontDoor::runShards(ShardTask &task, StageScratch &scratch)
 {
+    bool ran = false;
     while (true) {
         const int64_t block =
             task.next.fetch_add(1, std::memory_order_relaxed);
         if (block >= task.blocks)
-            return;
+            return ran;
         task.fn(block, scratch);
+        ran = true;
         if (task.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             task.blocks) {
             std::unique_lock<std::mutex> lock(mu_);
@@ -364,6 +384,9 @@ FrontDoor::parallelFor(int64_t blocks, const ShardFn &fn,
             fn(b, caller);
         return;
     }
+    // Publish, participate, then wait for stolen stragglers. The caller
+    // always claims blocks itself, so the phase completes even when every
+    // other worker is busy with its own batch.
     auto task = std::make_shared<ShardTask>();
     task->fn = fn;
     task->blocks = blocks;
@@ -389,11 +412,11 @@ FrontDoor::parallelFor(int64_t blocks, const ShardFn &fn,
 void
 FrontDoor::workerLoop(int slot)
 {
-    (void)slot;
-    // Worker-lifetime scratch, same contract as the engine: buffers grow
-    // to the largest batch seen and are reused; with more than one
-    // worker the scratch carries the intra-batch pool so LUT stages this
-    // worker initiates can shard across the front door's pool.
+    // Worker-lifetime scratch: the stage chain's ping-pong activation
+    // planes and conv im2col buffers grow to the largest batch seen and
+    // are reused for every later batch; with more than one worker the
+    // scratch carries the intra-batch pool so LUT stages this worker
+    // initiates can shard across the pool.
     StageScratch scratch;
     if (options_.threads > 1)
         scratch.pool = this;
@@ -406,7 +429,13 @@ FrontDoor::workerLoop(int slot)
         });
         if (auto task = claimableTaskLocked()) {
             lock.unlock();
-            runShards(*task, scratch);
+            // A worker that only steals shard blocks still counts as
+            // active: batch coalescing can funnel every request through
+            // one initiator.
+            if (runShards(*task, scratch)) {
+                std::unique_lock<std::mutex> stats_lock(stats_mu_);
+                worker_active_[static_cast<size_t>(slot)] = 1;
+            }
             lock.lock();
             continue;
         }
@@ -418,17 +447,8 @@ FrontDoor::workerLoop(int slot)
 
         Req first = popBestLocked();
         const auto opened = Clock::now();
-        if (first.cancelled &&
-            first.cancelled->load(std::memory_order_relaxed)) {
-            shed(first, Shed::Cancel,
-                 "request cancelled before execution");
+        if (shedIfDead(first))
             continue;
-        }
-        if (opened > first.deadline) {
-            shed(first, Shed::Deadline,
-                 "deadline expired before the request was scheduled");
-            continue;
-        }
 
         // Open a batch pinned to this request's snapshot — never to the
         // registry's CURRENT version, which may change mid-batch.
@@ -446,6 +466,7 @@ FrontDoor::workerLoop(int slot)
             // order, settling dead (cancelled / expired) ones on the way
             // without executing them.
             bool admitted = false;
+            const int64_t queued_before = total_queued_;
             auto queue_it = queues_.find(model_name);
             if (queue_it != queues_.end()) {
                 auto &queue = queue_it->second;
@@ -455,22 +476,9 @@ FrontDoor::workerLoop(int slot)
                         ++pos;  // other version: next batch's problem
                         continue;
                     }
-                    if (pos->cancelled &&
-                        pos->cancelled->load(std::memory_order_relaxed)) {
-                        Req dead = std::move(*pos);
+                    if (shedIfDead(*pos)) {
                         pos = queue.erase(pos);
                         --total_queued_;
-                        shed(dead, Shed::Cancel,
-                             "request cancelled before execution");
-                        continue;
-                    }
-                    if (Clock::now() > pos->deadline) {
-                        Req dead = std::move(*pos);
-                        pos = queue.erase(pos);
-                        --total_queued_;
-                        shed(dead, Shed::Deadline,
-                             "deadline expired while waiting for a "
-                             "batch slot");
                         continue;
                     }
                     if (rows + pos->rows > slo.max_batch) {
@@ -486,6 +494,8 @@ FrontDoor::workerLoop(int slot)
                 if (queue.empty())
                     queues_.erase(queue_it);
             }
+            if (total_queued_ < queued_before)
+                space_.notify_all();
             if (rows >= slo.max_batch || closed_)
                 break;
             if (admitted)
@@ -502,14 +512,15 @@ FrontDoor::workerLoop(int slot)
         }
 
         lock.unlock();
-        executeBatch(batch, rows, snapshot, scratch);
+        executeBatch(batch, rows, snapshot, scratch, slot);
         lock.lock();
     }
 }
 
 void
 FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
-                        const SnapshotPtr &snapshot, StageScratch &scratch)
+                        const SnapshotPtr &snapshot, StageScratch &scratch,
+                        int slot)
 {
     const FrozenModel &model = snapshot->model;
     const int64_t in_width = model.inputWidth();
@@ -523,6 +534,11 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
         offset += req.rows;
     }
 
+    // The stage chain accumulates its encode/gather phase times into the
+    // worker's scratch; the deltas around this batch are what the batch
+    // contributed.
+    const uint64_t encode_before = scratch.encode_ns;
+    const uint64_t gather_before = scratch.gather_ns;
     const Tensor output = model.forwardBatch(packed, scratch);
     const int64_t out_width = output.dim(1);
     const auto done = Clock::now();
@@ -532,9 +548,17 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
     {
         std::unique_lock<std::mutex> stats_lock(stats_mu_);
         batches_++;
+        if (batch_fill_.size() <= static_cast<size_t>(rows))
+            batch_fill_.resize(static_cast<size_t>(rows) + 1, 0);
+        batch_fill_[static_cast<size_t>(rows)]++;
+        encode_ns_ += scratch.encode_ns - encode_before;
+        gather_ns_ += scratch.gather_ns - gather_before;
+        worker_active_[static_cast<size_t>(slot)] = 1;
+        last_done_ = done;
         last_version_[snapshot->name] = snapshot->version;
         LaneAccum &model_lane = model_accum_[snapshot->name];
         for (const Req &req : batch) {
+            first_enqueued_ = std::min(first_enqueued_, req.enqueued);
             const auto micros = [](Clock::duration d) {
                 return static_cast<uint64_t>(std::max<int64_t>(
                     0, std::chrono::duration_cast<std::chrono::microseconds>(
@@ -602,6 +626,22 @@ FrontDoor::stats() const
     std::unique_lock<std::mutex> lock(stats_mu_);
     FrontDoorStats out;
     out.batches = batches_;
+    out.batch_fill = batch_fill_;
+    if (batches_ > 0)
+        out.wall_seconds =
+            std::chrono::duration<double>(last_done_ - first_enqueued_)
+                .count();
+    for (uint8_t ran : worker_active_)
+        out.active_workers += ran != 0 ? 1 : 0;
+    // Each worker's per-batch deltas are that batch's phase wall time
+    // (sharded phases time only the initiator), so the cross-worker sum
+    // divided by the active workers stays comparable across thread
+    // counts instead of inflating with concurrency.
+    const double active = std::max(out.active_workers, 1);
+    out.encode_cpu_seconds = static_cast<double>(encode_ns_) * 1e-9;
+    out.gather_cpu_seconds = static_cast<double>(gather_ns_) * 1e-9;
+    out.encode_seconds = out.encode_cpu_seconds / active;
+    out.gather_seconds = out.gather_cpu_seconds / active;
     snapshotLane(total_accum_, out.total);
     for (const auto &entry : model_accum_)
         snapshotLane(entry.second, out.models[entry.first]);
@@ -620,13 +660,7 @@ Tenant::submit(const std::string &model, const Tensor &rows) const
 std::future<api::Result<Tensor>>
 Tenant::submitAsync(const std::string &model, Tensor rows) const
 {
-    if (!door_) {
-        std::promise<api::Result<Tensor>> promise;
-        promise.set_value(api::Status::failedPrecondition(
-            "tenant handle is not bound to a front door"));
-        return promise.get_future();
-    }
-    return door_->submitAsync(model, std::move(rows), defaults_);
+    return submitCancellable(model, std::move(rows)).future;
 }
 
 RequestTicket

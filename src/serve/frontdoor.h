@@ -36,10 +36,19 @@
  * were admitted against, new submissions ride the new version, and no
  * batch ever mixes versions. See registry.h for the version semantics.
  *
- * The worker pool implements IntraBatchPool exactly like
- * InferenceEngine: a large batch's encode/gather phases shard across
- * idle workers via work-stealing shard tasks, so one front door extracts
- * the same intra-batch parallelism the single-model engine does.
+ * Intra-batch sharding: the worker pool implements IntraBatchPool. A
+ * worker that executes a large batch publishes each LUT stage's
+ * encode/gather phase as a ShardTask of row blocks, runs blocks itself,
+ * and waits for stragglers; idle workers steal blocks through the task's
+ * atomic cursor (a wait-free claim) and run them with their OWN
+ * StageScratch. One mutex/condition pair covers requests AND shard
+ * tasks, so an idle worker wakes for whichever arrives first. Busy
+ * workers simply don't help — progress never depends on a free worker —
+ * and results are bit-exact with the unsharded sweep because shards
+ * cover disjoint rows.
+ *
+ * This is the only scheduler in src/serve: InferenceEngine
+ * (serve/engine.h) is a one-model façade over a FrontDoor.
  */
 
 #include <atomic>
@@ -58,7 +67,7 @@
 
 #include "api/status.h"
 #include "serve/registry.h"
-#include "serve/request_queue.h"
+#include "serve/stage.h"
 #include "serve/stats.h"
 #include "tensor/tensor.h"
 
@@ -167,7 +176,7 @@ class Tenant
  * Multi-tenant serving front door: a ModelRegistry plus one shared
  * worker pool with deadline-aware, priority-stratified scheduling.
  * Implements IntraBatchPool so LUT stages shard big batches across the
- * pool, same as the single-model engine.
+ * pool.
  */
 class FrontDoor : private IntraBatchPool
 {
@@ -238,7 +247,22 @@ class FrontDoor : private IntraBatchPool
     const FrontDoorOptions &options() const { return options_; }
 
   private:
+    friend class InferenceEngine;
     using Clock = std::chrono::steady_clock;
+
+    /**
+     * One intra-batch parallel-for in flight: `blocks` shards claimed via
+     * the atomic `next` cursor (work-stealing without a lock), `completed`
+     * counts finished shards. Helpers hold shared_ptr copies, so the task
+     * outlives its removal from tasks_.
+     */
+    struct ShardTask
+    {
+        ShardFn fn;                        ///< runs one block on any worker
+        int64_t blocks = 0;                ///< total shard count
+        std::atomic<int64_t> next{0};      ///< next unclaimed block
+        std::atomic<int64_t> completed{0}; ///< finished blocks
+    };
 
     struct Req
     {
@@ -255,43 +279,6 @@ class FrontDoor : private IntraBatchPool
         std::shared_ptr<std::atomic<bool>> cancelled;  ///< may be null
     };
 
-    std::future<api::Result<Tensor>>
-    enqueue(const std::string &model, Tensor rows,
-            const RequestOptions &options,
-            std::shared_ptr<std::atomic<bool>> cancel_flag);
-
-    void workerLoop(int slot);
-    /** Pop the highest-priority earliest-deadline head. mu_ held. */
-    Req popBestLocked();
-    /** Any queued head strictly above `priority`? mu_ held. */
-    bool higherPriorityPendingLocked(int priority) const;
-    /** Claimable shard task, or nullptr. mu_ held. */
-    std::shared_ptr<ShardTask> claimableTaskLocked() const;
-    void runShards(ShardTask &task, StageScratch &scratch);
-    void parallelFor(int64_t blocks, const ShardFn &fn,
-                     StageScratch &caller) override;
-    void executeBatch(std::vector<Req> &batch, int64_t rows,
-                      const SnapshotPtr &snapshot, StageScratch &scratch);
-    void failRemaining();
-
-    /** Settle a request with a typed error and bump its shed counter. */
-    enum class Shed { Capacity, Deadline, Cancel };
-    void shed(Req &req, Shed kind, const std::string &message);
-
-    FrontDoorOptions options_;
-    ModelRegistry registry_;
-
-    std::mutex mu_;  ///< queues + shard tasks + lifecycle flags
-    std::condition_variable work_;       ///< requests OR shard work
-    std::condition_variable task_done_;  ///< shard-task completion
-    std::map<std::string, std::deque<Req>> queues_;  ///< EDF per model
-    std::vector<std::shared_ptr<ShardTask>> tasks_;
-    int64_t total_queued_ = 0;
-    uint64_t next_seq_ = 0;
-    bool started_ = false;
-    bool closed_ = false;
-    std::vector<std::thread> workers_;
-
     /** Internal accumulator behind one LaneStats bucket. */
     struct LaneAccum
     {
@@ -300,10 +287,72 @@ class FrontDoor : private IntraBatchPool
         uint64_t with_deadline = 0, deadline_met = 0;
         LatencyHistogram latency, queue_wait, service;
     };
+    /** A LaneAccum counter: rejected, accepted or one of the sheds. */
+    using Counter = uint64_t LaneAccum::*;
+
+    /**
+     * The one admission path. `engine_wait_us` is set only by
+     * InferenceEngine and carries its AdmitOptions::max_wait_us: when the
+     * queue is full it waits for space (< 0 forever, > 0 at most that
+     * long, 0 not at all) instead of shedding at once, and answers
+     * FailedPrecondition when no worker runs to ever make space.
+     */
+    std::future<api::Result<Tensor>>
+    enqueue(const std::string &model, Tensor rows,
+            const RequestOptions &options,
+            std::shared_ptr<std::atomic<bool>> cancel_flag,
+            std::optional<int64_t> engine_wait_us = std::nullopt);
+
+    void workerLoop(int slot);
+    /** Pop the highest-priority earliest-deadline head. mu_ held. */
+    Req popBestLocked();
+    /** Any queued head strictly above `priority`? mu_ held. */
+    bool higherPriorityPendingLocked(int priority) const;
+    /** Claimable shard task, or nullptr. mu_ held. */
+    std::shared_ptr<ShardTask> claimableTaskLocked() const;
+    /** Claim-and-run loop every shard participant executes; returns
+     * whether this participant ran at least one block. */
+    bool runShards(ShardTask &task, StageScratch &scratch);
+    void parallelFor(int64_t blocks, const ShardFn &fn,
+                     StageScratch &caller) override;
+    void executeBatch(std::vector<Req> &batch, int64_t rows,
+                      const SnapshotPtr &snapshot, StageScratch &scratch,
+                      int slot);
+    void failRemaining();
+
+    /** Bump `counter` in the total, model and tenant buckets. */
+    void count(Counter counter, const std::string &model,
+               const std::string &tenant);
+    /** Settle a request with a typed error and bump its shed counter. */
+    void shed(Req &req, Counter counter, api::Status status);
+    /** Shed `req` if it was cancelled or its deadline has passed. */
+    bool shedIfDead(Req &req);
+
+    FrontDoorOptions options_;
+    ModelRegistry registry_;
+
+    std::mutex mu_;  ///< queues + shard tasks + lifecycle flags
+    std::condition_variable work_;       ///< requests OR shard work
+    std::condition_variable task_done_;  ///< shard-task completion
+    std::condition_variable space_;      ///< queue space (engine admission)
+    std::map<std::string, std::deque<Req>> queues_;  ///< EDF per model
+    std::vector<std::shared_ptr<ShardTask>> tasks_;
+    int64_t total_queued_ = 0;
+    uint64_t next_seq_ = 0;
+    bool started_ = false;
+    bool closed_ = false;
+    std::vector<std::thread> workers_;
+
     void snapshotLane(const LaneAccum &accum, LaneStats &out) const;
 
     mutable std::mutex stats_mu_;
     uint64_t batches_ = 0;
+    std::vector<uint64_t> batch_fill_;
+    uint64_t encode_ns_ = 0;
+    uint64_t gather_ns_ = 0;
+    std::vector<uint8_t> worker_active_;  ///< per-slot: batch or shard ran
+    Clock::time_point first_enqueued_ = Clock::time_point::max();
+    Clock::time_point last_done_;
     LaneAccum total_accum_;
     std::map<std::string, LaneAccum> model_accum_;
     std::map<std::string, LaneAccum> tenant_accum_;

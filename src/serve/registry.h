@@ -92,8 +92,10 @@ class ModelRegistry
      * Install `model` as the next version of `name` (1 for a new name)
      * and return that version. Readers that resolve() from now on see
      * the new snapshot; holders of the previous snapshot keep serving it
-     * untouched. InvalidArgument for an empty name or nonsense SLO
-     * knobs; FailedPrecondition for a model with no stages.
+     * untouched. InvalidArgument for an empty name, nonsense SLO knobs,
+     * or an slo.max_batch below the model's rowGroup() (it could never
+     * admit one whole sequence); FailedPrecondition for a model with no
+     * stages.
      */
     api::Result<uint64_t> publish(const std::string &name,
                                   FrozenModel model, ModelSlo slo = {});

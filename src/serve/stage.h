@@ -63,8 +63,8 @@ struct StageScratch;
 using ShardFn = std::function<void(int64_t block, StageScratch &scratch)>;
 
 /**
- * Intra-batch parallelism seam: the engine hands each worker's
- * StageScratch a pool pointer, and LUT stages shard their encode / gather
+ * Intra-batch parallelism seam: the worker pool (FrontDoor) hands each
+ * worker's StageScratch a pool pointer, and LUT stages shard their encode / gather
  * phases over it instead of sweeping the whole batch on one thread.
  * parallelFor() blocks until every shard ran; the CALLER participates
  * (running shards with `caller` scratch) while idle workers steal the
@@ -77,7 +77,7 @@ class IntraBatchPool
     virtual ~IntraBatchPool() = default;
 
     /** Run fn(block, scratch) for block in [0, blocks); returns when all
-     * blocks completed. Safe to call only from an engine worker. */
+     * blocks completed. Safe to call only from a pool worker. */
     virtual void parallelFor(int64_t blocks, const ShardFn &fn,
                              StageScratch &caller) = 0;
 };
@@ -132,7 +132,7 @@ struct StageScratch
     std::vector<float> tile_a, tile_b;
     uint64_t encode_ns = 0;            ///< accumulated encode-phase time
     uint64_t gather_ns = 0;            ///< accumulated gather-phase time
-    /** Intra-batch worker pool (engine-owned); null = single-threaded.
+    /** Intra-batch worker pool (FrontDoor-owned); null = single-threaded.
      * Phase times stay wall-clock: only the initiating worker's timers
      * run while shards execute in parallel. */
     IntraBatchPool *pool = nullptr;

@@ -146,8 +146,8 @@ class SoftmaxStage : public FrozenStage
  * the planned kernel backend, with the scaled-dot-product + stable
  * softmax core between them executed by the shared
  * nn::attentionSequenceContext kernel per sequence. Batches must be
- * whole sequences ([B * seq_len, d_model] rows); the engine enforces
- * this at admission via FrozenModel::rowGroup(). Projection GEMMs shard
+ * whole sequences ([B * seq_len, d_model] rows); the front door's
+ * admission path enforces this via FrozenModel::rowGroup(). Projection GEMMs shard
  * over rows and the sdpa core shards over sequences when the executing
  * scratch carries an IntraBatchPool — all bit-exact with the
  * single-thread sweep. The planner may fuse a pointwise epilogue into

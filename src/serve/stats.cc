@@ -98,7 +98,7 @@ EngineStats::avgBatchFill() const
 }
 
 double
-EngineStats::encodeFraction() const
+PoolStats::encodeFraction() const
 {
     const double total = encode_seconds + gather_seconds;
     if (total <= 0.0)
@@ -188,6 +188,11 @@ FrontDoorStats::summary() const
                   "%zu tenants\n",
                   static_cast<unsigned long long>(batches), models.size(),
                   tenants.size());
+    out += line;
+    std::snprintf(line, sizeof(line),
+                  "pool: %d active workers, encode %.4f s, gather %.4f s "
+                  "(per-worker avg)\n",
+                  active_workers, encode_seconds, gather_seconds);
     out += line;
     out += laneLine("total", total);
     for (const auto &entry : models) {

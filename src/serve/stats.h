@@ -4,7 +4,7 @@
 /**
  * @file
  * Serving statistics: a bounded log-linear latency histogram plus the
- * EngineStats snapshot the engine hands back to callers.
+ * EngineStats / FrontDoorStats snapshots handed back to callers.
  *
  * Percentile semantics: latencies are recorded into power-of-two buckets
  * with 64 linear sub-buckets each (HdrHistogram-style), so p50/p99 are
@@ -66,10 +66,47 @@ class LatencyHistogram
 };
 
 /**
+ * Worker-pool counters shared by EngineStats and FrontDoorStats, kept by
+ * the one worker pool behind both (FrontDoor) for all its models.
+ */
+struct PoolStats
+{
+    /** Workers that did real batch work: initiated at least one batch OR
+     * stole at least one shard block from another worker's batch. */
+    int active_workers = 0;
+
+    /**
+     * Encode-phase seconds (argmin encoding of batch rows into packed
+     * codes, including im2col / BF16 staging), reported as the
+     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: sharded phases
+     * time only the initiating worker, and the cross-worker sum is
+     * divided by active_workers, so the number is comparable across
+     * thread counts. Approximation caveat: the divisor counts workers
+     * that EVER ran a batch, an upper bound on actual concurrency, so
+     * under light load spread round-robin across the pool this is a
+     * LOWER bound on per-worker phase wall time; at saturation (the
+     * regime phase tuning cares about) it is tight.
+     */
+    double encode_seconds = 0.0;
+    /** Gather-phase seconds (table accumulation, fused epilogues, NCHW
+     * reshape), same per-active-worker-average semantics. */
+    double gather_seconds = 0.0;
+
+    /** Raw cross-worker sum of per-batch encode wall times (exceeds
+     * wall-clock time under concurrency). */
+    double encode_cpu_seconds = 0.0;
+    /** Raw cross-worker sum of per-batch gather wall times. */
+    double gather_cpu_seconds = 0.0;
+
+    /** Encode share of LUT-stage time, in [0, 1] (0 when unmeasured). */
+    double encodeFraction() const;
+};
+
+/**
  * Snapshot of an engine's lifetime counters, taken under the stats lock so
  * all fields are mutually consistent. Returned by InferenceEngine::stats().
  */
-struct EngineStats
+struct EngineStats : PoolStats
 {
     uint64_t requests = 0;   ///< successfully served requests
     uint64_t rows = 0;       ///< rows across served requests
@@ -105,37 +142,6 @@ struct EngineStats
     double p50_service_us = 0.0; ///< approximate median service time
     double p99_service_us = 0.0; ///< approximate p99 service time
 
-    /** Workers that did real batch work: initiated at least one batch OR
-     * stole at least one shard block from another worker's batch. (Shard
-     * helpers used to go uncounted, so a 2-thread engine whose requests
-     * all coalesced through one initiator reported active_workers 1 and
-     * inflated the per-worker phase averages below.) */
-    int active_workers = 0;
-
-    /**
-     * Encode-phase seconds (argmin encoding of batch rows into packed
-     * codes, including im2col / BF16 staging), reported as the
-     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: sharded phases
-     * time only the initiating worker, and the cross-worker sum is
-     * divided by active_workers — so the number is comparable across
-     * thread counts (the old raw sum inflated ~Nx with N concurrent
-     * workers on a contended host). Approximation caveat: the divisor
-     * counts workers that EVER ran a batch, an upper bound on actual
-     * concurrency, so under light load spread round-robin across the
-     * pool this is a LOWER bound on per-worker phase wall time; at
-     * saturation (the regime phase tuning cares about) it is tight.
-     */
-    double encode_seconds = 0.0;
-    /** Gather-phase seconds (table accumulation, fused epilogues, NCHW
-     * reshape), same per-active-worker-average semantics. */
-    double gather_seconds = 0.0;
-
-    /** Raw cross-worker sum of per-batch encode wall times (the old
-     * semantics; exceeds wall_seconds under concurrency). */
-    double encode_cpu_seconds = 0.0;
-    /** Raw cross-worker sum of per-batch gather wall times. */
-    double gather_cpu_seconds = 0.0;
-
     /**
      * batch_fill[r] = number of executed batches that carried exactly `r`
      * rows; index 0 is unused. Size is max_batch + 1.
@@ -147,9 +153,6 @@ struct EngineStats
 
     /** Mean rows per executed batch (0 before any batch). */
     double avgBatchFill() const;
-
-    /** Encode share of LUT-stage time, in [0, 1] (0 when unmeasured). */
-    double encodeFraction() const;
 
     /** Multi-line human-readable digest. */
     std::string summary() const;
@@ -207,12 +210,21 @@ struct LaneStats
 /**
  * Snapshot of a FrontDoor's lifetime counters: totals plus one LaneStats
  * bucket per model and per tenant (std::map so iteration — and the
- * summary() dump — is deterministic). `last_version` records the model
- * version most recently served, making hot-swaps observable from stats.
+ * summary() dump — is deterministic), and the pool-wide PoolStats phase
+ * split. `last_version` records the model version most recently served,
+ * making hot-swaps observable from stats.
  */
-struct FrontDoorStats
+struct FrontDoorStats : PoolStats
 {
     uint64_t batches = 0;  ///< executed batches across all models
+
+    /** Busy window in seconds: first admitted request to most recent
+     * completion (0 until the first batch finishes). */
+    double wall_seconds = 0.0;
+
+    /** batch_fill[r] = executed batches (any model) that carried exactly
+     * `r` rows; size is the largest batch seen + 1. */
+    std::vector<uint64_t> batch_fill;
 
     LaneStats total;                         ///< all traffic combined
     std::map<std::string, LaneStats> models; ///< per published model

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <thread>
 #include <vector>
@@ -1116,26 +1117,48 @@ TEST(PlanSummary, RecordsIsaKernelsAndShardGranularity)
 // ---------------------------------------------------------------------------
 // Admission control: non-blocking / bounded-wait submission paths.
 
-TEST(WorkQueue, TryPushAndPushForRespectCapacity)
+TEST(InferenceEngine, BlockingSubmitWaitsForSpaceWhileWorkersRun)
 {
-    serve::WorkQueue<int> queue(1);
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_FALSE(queue.tryPush(2));  // full, no wait
-    // Bounded wait on a full queue times out instead of blocking forever.
-    EXPECT_FALSE(queue.pushFor(2, std::chrono::milliseconds(5)));
+    // Default admission is backpressure: with one worker and room for
+    // one queued request, concurrent blocking submit()s must wait for
+    // space rather than be refused, and every one must be served
+    // bit-exactly. A lost wake-up hangs here (the ctest timeout fails it).
+    FrozenFixture fx = makeFrozenMlp();
+    serve::EngineOptions options;
+    options.threads = 1;
+    options.queue_capacity = 1;
+    options.max_batch = 2;
+    options.max_wait_us = 0;
+    auto engine = api::makeEngine(fx.model, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().toString();
 
-    std::optional<int> out = queue.tryPop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, 1);
-    // With space available both paths admit immediately.
-    EXPECT_TRUE(queue.pushFor(3, std::chrono::milliseconds(0)));
-    out = queue.tryPop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, 3);
+    constexpr int kSubmitters = 4;
+    constexpr int kPerThread = 16;
+    std::vector<Tensor> inputs, references;
+    for (int i = 0; i < kSubmitters * kPerThread; ++i) {
+        inputs.push_back(randomRows(1, 16, 500 + static_cast<uint64_t>(i)));
+        references.push_back(fx.model->forward(inputs.back(), false));
+    }
+    std::atomic<int> failures{0};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const size_t r = static_cast<size_t>(t * kPerThread + i);
+                auto result = engine.value()->submit(inputs[r]);
+                if (!result.ok() || !result->equals(references[r]))
+                    failures.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &thread : submitters)
+        thread.join();
+    EXPECT_EQ(failures.load(), 0);
 
-    queue.close();
-    EXPECT_FALSE(queue.tryPush(4));
-    EXPECT_FALSE(queue.pushFor(4, std::chrono::milliseconds(5)));
+    const serve::EngineStats stats = engine.value()->stats();
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.requests,
+              static_cast<uint64_t>(kSubmitters * kPerThread));
 }
 
 TEST(InferenceEngine, TrySubmitShedsTypedInsteadOfBlocking)

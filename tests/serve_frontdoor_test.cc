@@ -185,6 +185,49 @@ TEST(FrontDoor, TypedErrorPaths)
     EXPECT_FALSE(serve::FrontDoor::create(bad_options).ok());
 }
 
+TEST(FrontDoor, ShardedBigBatchReportsPoolPhaseSplit)
+{
+    // Big enough rows that every lut-gemm stage shards (shard_rows is 64
+    // on AVX-512 hosts, 32 on AVX2): 256 rows = 4+ shards per phase.
+    std::vector<sim::GemmShape> gemms{{4, 24, 18, "a"}, {4, 18, 7, "b"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    auto model = serve::FrozenModel::fromTrace(gemms, pq);
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+    ASSERT_GT(model->plan()[0].shard_rows, 0);
+    const Tensor rows = randomRows(256, 24, 77);
+    const Tensor reference = model->forwardBatch(rows);
+
+    serve::FrontDoorOptions options;
+    options.threads = 4;
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok()) << door.status().toString();
+    serve::ModelSlo slo;
+    slo.max_batch = 256;
+    ASSERT_TRUE(door.value()->publish("m", *model, slo).ok());
+    auto result = door.value()->submit("m", rows);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_TRUE(result->equals(reference))
+        << "sharded sweep diverged, maxdiff="
+        << Tensor::maxAbsDiff(*result, reference);
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_GE(stats.active_workers, 1);
+    EXPECT_LE(stats.active_workers, 4);
+    EXPECT_GT(stats.encode_seconds, 0.0);
+    EXPECT_GT(stats.gather_seconds, 0.0);
+    // The raw cross-worker sums are always >= the per-worker average.
+    EXPECT_GE(stats.encode_cpu_seconds, stats.encode_seconds);
+    EXPECT_GE(stats.gather_cpu_seconds, stats.gather_seconds);
+    ASSERT_EQ(stats.batch_fill.size(), 257u);
+    EXPECT_EQ(stats.batch_fill[256], 1u);
+    EXPECT_GT(stats.wall_seconds, 0.0);
+    EXPECT_NE(stats.summary().find("active workers"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Overload: priority eviction and typed capacity shedding, never a block.
 

@@ -294,6 +294,40 @@ TEST(ServingFacade, AttentionRowGroupAdmission)
     ASSERT_TRUE(result.ok()) << result.status().toString();
     EXPECT_TRUE(result->equals(model->forward(x, false)));
     engine.value()->shutdown();
+
+    // The same three checks through the front door's admission path.
+    auto door = api::makeFrontDoor({});
+    ASSERT_TRUE(door.ok()) << door.status().toString();
+    api::ServeOptions tiny_slo;
+    tiny_slo.slo.max_batch = seq_len - 1;
+    auto refused = api::publishModel(door.value(), "bert", model, tiny_slo);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), api::StatusCode::InvalidArgument);
+    EXPECT_NE(refused.status().toString().find("row group"),
+              std::string::npos)
+        << refused.status().toString();
+
+    api::ServeOptions slo_options;
+    slo_options.slo.max_batch = seq_len * 4;
+    ASSERT_TRUE(
+        api::publishModel(door.value(), "bert", model, slo_options).ok());
+    auto door_partial = door.value()->submit(
+        "bert", randomRows(seq_len + 4, kInWidth, 92));
+    ASSERT_FALSE(door_partial.ok());
+    EXPECT_EQ(door_partial.status().code(),
+              api::StatusCode::InvalidArgument);
+    EXPECT_NE(door_partial.status().toString().find("sequence length"),
+              std::string::npos)
+        << door_partial.status().toString();
+
+    auto door_result = door.value()->submit("bert", x);
+    ASSERT_TRUE(door_result.ok()) << door_result.status().toString();
+    EXPECT_TRUE(door_result->equals(model->forward(x, false)));
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.total.rejected, 1u);  // the partial sequence
+    EXPECT_EQ(stats.total.shed(), 0u);
 }
 
 // ---------------------------------------------------------------------------
