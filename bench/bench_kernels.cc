@@ -2,14 +2,12 @@
  * @file
  * Google-benchmark microbenchmarks: exact GEMM vs LUT-GEMM (encode +
  * lookup) software kernels, the encode and lookup phases separately, and
- * the serving arena's split data-plane kernels (packed-code encodeBatch,
- * the INT8 argmin-encode at every forced EncodeVariant — scalar integer
- * reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes across
- * all three — float-bank gather, INT8-bank gather with every kernel
- * variant forced:
- * scalar group sweep vs VPSHUFB shuffle vs VPERMB+VPDPBUSD dot — the
- * c=16 shuffle-vs-scalar pair is the PR-5 acceptance comparison — and the
- * nibble-packed INT4-bank gather at its forced variants for the
+ * the serving arena's split data-plane kernels (packed-code float
+ * encode, the INT8 argmin-encode bank built for every SIMD tier — scalar
+ * integer reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes
+ * across all three — float-bank gather, the INT8 table bank built for
+ * every tier: scalar group sweep vs VPSHUFB shuffle vs VPERMB+VPDPBUSD
+ * dot — and the nibble-packed INT4 bank per tier for the
  * bytes-halved-vs-unpack-cost comparison against INT8 and float), plus
  * one serving row tile on the INT4-table + INT8-encode plan at the
  * resnet18 hot shape, fused (encode straight into the gather's planar
@@ -77,9 +75,8 @@ struct ArenaFixture
           arena(fx.engine->quantizer(), fx.engine->lut(), nullptr, false),
           y(static_cast<size_t>(m * n))
     {
-        arena.ensureInt8Bank();
-        arena.ensureInt4Bank();
-        arena.encodeBatch(fx.a.data(), m, scratch.codes, scratch.encode);
+        arena.encodeBank(lutboost::EncodePrecision::Float32)
+            .encodeBatch(fx.a.data(), m, scratch.codes, scratch.encode);
     }
 
     KernelFixture fx;
@@ -137,16 +134,32 @@ BM_Lookup(benchmark::State &state)
     }
 }
 
-// ---- Serving data-plane phases (the kernels behind KernelBackend) ------
+// ---- Serving data-plane phases (the banks behind KernelBackend) -------
+
+/** The SIMD tier a benchmark forces (its first argument), or false after
+ * skipping when the host does not have it. */
+bool
+forcedLevel(benchmark::State &state, util::SimdLevel *level)
+{
+    *level = static_cast<util::SimdLevel>(state.range(0));
+    state.SetLabel(util::simdLevelName(*level));
+    if (*level > util::simdLevel()) {
+        state.SkipWithError("SIMD level not available on this host");
+        return false;
+    }
+    return true;
+}
 
 void
 BM_ArenaEncodeBatch(benchmark::State &state)
 {
     ArenaFixture ax(state.range(0), state.range(1), 64, state.range(2),
                     16);
+    const lutboost::EncodeBank &bank =
+        ax.arena.encodeBank(lutboost::EncodePrecision::Float32);
     for (auto _ : state) {
-        ax.arena.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0),
-                             ax.scratch.codes, ax.scratch.encode);
+        bank.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), ax.scratch.codes,
+                         ax.scratch.encode);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -154,224 +167,101 @@ BM_ArenaEncodeBatch(benchmark::State &state)
         static_cast<double>(ax.scratch.codes.sizeBytes());
 }
 
-void
-BM_ArenaGatherFloat(benchmark::State &state)
-{
-    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
-                    16);
-    for (auto _ : state) {
-        ax.arena.gatherAccumulate(ax.scratch.codes, ax.y.data(),
-                                  ax.scratch.gather);
-        benchmark::DoNotOptimize(ax.y.data());
-    }
-    state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
-    state.counters["table_bytes"] =
-        static_cast<double>(ax.arena.sizeBytes());
-}
-
 /**
- * INT8 argmin-encode at a forced kernel variant: identical codes across
- * every variant (exact int32 scores), timed against the float
- * BM_ArenaEncodeBatch rows at the same shapes — the quantized-encode
- * acceptance comparison. Unsupported variants skip.
+ * INT8 argmin-encode through a bank built for a forced tier (first
+ * argument): identical codes at every tier (exact int32 scores), timed
+ * against the float BM_ArenaEncodeBatch rows at the same shapes — the
+ * quantized-encode acceptance comparison.
  */
-void
-encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
-{
-    if (variant == lutboost::EncodeVariant::DotVnni &&
-        util::simdLevel() < util::SimdLevel::Avx512Vnni) {
-        state.SkipWithError("AVX-512 VNNI not available");
-        return;
-    }
-    if (variant == lutboost::EncodeVariant::MaddAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
-        return;
-    }
-    ArenaFixture ax(state.range(0), state.range(1), 64, state.range(2),
-                    16);
-    ax.arena.ensureInt8EncodeBank();
-    for (auto _ : state) {
-        ax.arena.encodeBatchInt8(ax.fx.a.data(), ax.fx.a.dim(0),
-                                 ax.scratch.codes, ax.scratch.encode,
-                                 variant);
-        benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
-    }
-    state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
-    state.counters["encode_table_bytes"] =
-        static_cast<double>(ax.arena.int8EncodeTableBytes());
-}
-
 void
 BM_ArenaEncodeInt8(benchmark::State &state)
 {
-    encodeInt8Variant(state, lutboost::EncodeVariant::Auto);
-}
-
-void
-BM_ArenaEncodeInt8Scalar(benchmark::State &state)
-{
-    encodeInt8Variant(state, lutboost::EncodeVariant::Scalar);
-}
-
-void
-BM_ArenaEncodeInt8MaddAvx2(benchmark::State &state)
-{
-    encodeInt8Variant(state, lutboost::EncodeVariant::MaddAvx2);
-}
-
-void
-BM_ArenaEncodeInt8DotVnni(benchmark::State &state)
-{
-    encodeInt8Variant(state, lutboost::EncodeVariant::DotVnni);
+    util::SimdLevel level;
+    if (!forcedLevel(state, &level))
+        return;
+    ArenaFixture ax(state.range(1), state.range(2), 64, state.range(3),
+                    16);
+    const auto bank = lutboost::makeEncodeBank(
+        ax.arena, lutboost::EncodePrecision::Int8, level);
+    for (auto _ : state) {
+        bank->encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), ax.scratch.codes,
+                          ax.scratch.encode);
+        benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
+    }
+    state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
+    state.SetLabel(bank->kernelName());
+    state.counters["encode_table_bytes"] =
+        static_cast<double>(bank->tableBytes());
 }
 
 /**
- * INT8 gather at a forced kernel variant (the acceptance comparison:
- * shuffle vs scalar at c=16 on identical codes, bit-exact outputs).
- * Unsupported variants (e.g. shuffle on a non-SIMD host) skip.
+ * Gather through a `precision` table bank built for a forced tier (first
+ * argument) on identical codes; every tier of a precision returns the
+ * same bits. At c = 16 the INT8 rows compare the scalar group sweep, the
+ * VPSHUFB shuffle and the VPERMB+VPDPBUSD dot; the INT4 rows time the
+ * extra nibble unpack against the halved table stream.
  */
 void
-gatherInt8Variant(benchmark::State &state,
-                  lutboost::Int8GatherVariant variant)
+gatherAtTier(benchmark::State &state, lutboost::TablePrecision precision)
 {
-    if (variant == lutboost::Int8GatherVariant::ShuffleVnni &&
-        util::simdLevel() < util::SimdLevel::Avx512Vnni) {
-        state.SkipWithError("AVX-512 VBMI+VNNI not available");
+    util::SimdLevel level;
+    if (!forcedLevel(state, &level))
         return;
-    }
-    if (variant == lutboost::Int8GatherVariant::ShuffleAvx512 &&
-        util::simdLevel() < util::SimdLevel::Avx512) {
-        state.SkipWithError("AVX-512 not available");
-        return;
-    }
-    if (variant == lutboost::Int8GatherVariant::ShuffleAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
-        return;
-    }
-    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
-                    16);
+    ArenaFixture ax(state.range(1), state.range(2), state.range(3), 4, 16);
+    const auto bank = lutboost::makeTableBank(ax.arena, precision, level);
     for (auto _ : state) {
-        ax.arena.gatherAccumulateInt8(ax.scratch.codes, ax.y.data(),
-                                      ax.scratch.gather, variant);
+        bank->gather(ax.scratch.codes, 0, ax.scratch.codes.rows(),
+                     ax.y.data(), ax.scratch.gather);
         benchmark::DoNotOptimize(ax.y.data());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
-    state.counters["table_bytes"] =
-        static_cast<double>(ax.arena.int8TableBytes());
+    state.SetLabel(bank->kernelName());
+    state.counters["table_bytes"] = static_cast<double>(bank->tableBytes());
+}
+
+void
+BM_ArenaGatherFloat(benchmark::State &state)
+{
+    gatherAtTier(state, lutboost::TablePrecision::Float32);
 }
 
 void
 BM_ArenaGatherInt8(benchmark::State &state)
 {
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::Auto);
-}
-
-void
-BM_ArenaGatherInt8Scalar(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::Scalar);
-}
-
-void
-BM_ArenaGatherInt8ShuffleAvx512(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleAvx512);
-}
-
-void
-BM_ArenaGatherInt8ShuffleAvx2(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleAvx2);
-}
-
-void
-BM_ArenaGatherInt8ShuffleVnni(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleVnni);
-}
-
-/**
- * INT4 gather at a forced kernel variant: same codes, nibble-packed
- * bit-plane bank (two output columns per byte). Compared against the
- * INT8 and float rows at identical shapes, this times the cost of the
- * extra unpack-and-shift against the halved table stream.
- */
-void
-gatherInt4Variant(benchmark::State &state,
-                  lutboost::Int4GatherVariant variant)
-{
-    if (variant == lutboost::Int4GatherVariant::ShuffleAvx512 &&
-        util::simdLevel() < util::SimdLevel::Avx512) {
-        state.SkipWithError("AVX-512 not available");
-        return;
-    }
-    if (variant == lutboost::Int4GatherVariant::ShuffleAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
-        return;
-    }
-    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
-                    16);
-    for (auto _ : state) {
-        ax.arena.gatherAccumulateInt4(ax.scratch.codes, ax.y.data(),
-                                      ax.scratch.gather, variant);
-        benchmark::DoNotOptimize(ax.y.data());
-    }
-    state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
-    state.counters["table_bytes"] =
-        static_cast<double>(ax.arena.int4TableBytes());
+    gatherAtTier(state, lutboost::TablePrecision::Int8);
 }
 
 void
 BM_ArenaGatherInt4(benchmark::State &state)
 {
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::Auto);
-}
-
-void
-BM_ArenaGatherInt4Scalar(benchmark::State &state)
-{
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::Scalar);
-}
-
-void
-BM_ArenaGatherInt4ShuffleAvx512(benchmark::State &state)
-{
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx512);
-}
-
-void
-BM_ArenaGatherInt4ShuffleAvx2(benchmark::State &state)
-{
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx2);
+    gatherAtTier(state, lutboost::TablePrecision::Int4);
 }
 
 /**
  * One row tile on the INT4-table + INT8-encode plan, the way the serving
- * executor runs it. Fused: KernelBackend::forwardTile, which encodes each
+ * executor runs it. Fused: BankPair::forwardTile, which encodes each
  * chunk straight into the shuffle gather's planar code lanes. Split: the
  * same encode and gather through a packed CodeBuffer (encodeBatch +
- * gatherAccumulate). Registered at the resnet18 hot shape (K=4608,
- * N=512, v=8, c=16, one 64-row tile); both yield identical outputs.
+ * gather). Registered at the resnet18 hot shape (K=4608, N=512, v=8,
+ * c=16, one 64-row tile); both yield identical outputs.
  */
 void
 tileInt4Int8Enc(benchmark::State &state, bool fused)
 {
     ArenaFixture ax(state.range(0), state.range(1), state.range(2), 8, 16);
-    ax.arena.ensureInt8EncodeBank();
-    const lutboost::KernelBackend &backend = lutboost::int4Backend();
+    const lutboost::BankPair banks{
+        &ax.arena.tableBank(lutboost::TablePrecision::Int4),
+        &ax.arena.encodeBank(lutboost::EncodePrecision::Int8)};
     const int64_t rows = ax.fx.a.dim(0);
     for (auto _ : state) {
         if (fused) {
-            backend.forwardTile(ax.arena, ax.fx.a.data(), rows, ax.y.data(),
-                                ax.scratch, nullptr, nullptr,
-                                lutboost::EncodePrecision::Int8);
+            banks.forwardTile(ax.fx.a.data(), rows, ax.y.data(), ax.scratch,
+                              nullptr, nullptr);
         } else {
-            backend.encodeBatch(ax.arena, ax.fx.a.data(), rows, ax.scratch,
-                                lutboost::EncodePrecision::Int8);
-            backend.gatherAccumulate(ax.arena, ax.scratch, ax.y.data());
+            banks.encode->encodeBatch(ax.fx.a.data(), rows, ax.scratch.codes,
+                                      ax.scratch.encode);
+            banks.table->gather(ax.scratch.codes, 0, rows, ax.y.data(),
+                                ax.scratch.gather);
         }
         benchmark::DoNotOptimize(ax.y.data());
         benchmark::ClobberMemory();
@@ -389,20 +279,6 @@ void
 BM_ArenaTileInt4Int8EncSplit(benchmark::State &state)
 {
     tileInt4Int8Enc(state, false);
-}
-
-/** The SIMD tier a float-math benchmark forces (its first argument), or
- * false after skipping when the host does not have it. */
-bool
-forcedLevel(benchmark::State &state, util::SimdLevel *level)
-{
-    *level = static_cast<util::SimdLevel>(state.range(0));
-    state.SetLabel(util::simdLevelName(*level));
-    if (*level > util::simdLevel()) {
-        state.SkipWithError("SIMD level not available on this host");
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -460,27 +336,37 @@ BM_AttentionCore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * sequences);
 }
 
-/** Registers one float-math benchmark at every SIMD tier. */
+/** Registers a benchmark at every SIMD tier up to `top`, once per
+ * argument list. */
 void
-allTiers(benchmark::internal::Benchmark *b, std::vector<int64_t> args)
+allTiers(benchmark::internal::Benchmark *b,
+         std::vector<std::vector<int64_t>> arg_lists,
+         util::SimdLevel top = util::SimdLevel::Avx512)
 {
-    for (const util::SimdLevel level :
-         {util::SimdLevel::Generic, util::SimdLevel::Avx2,
-          util::SimdLevel::Avx512}) {
-        std::vector<int64_t> tier_args{static_cast<int64_t>(level)};
-        tier_args.insert(tier_args.end(), args.begin(), args.end());
-        b->Args(tier_args);
-    }
+    for (const std::vector<int64_t> &args : arg_lists)
+        for (int level = 0; level <= static_cast<int>(top); ++level) {
+            std::vector<int64_t> tier_args{level};
+            tier_args.insert(tier_args.end(), args.begin(), args.end());
+            b->Args(tier_args);
+        }
     b->Unit(benchmark::kMicrosecond);
+}
+
+/** Registers a table-bank benchmark at every tier, VNNI included. */
+void
+bankTiers(benchmark::internal::Benchmark *b,
+          std::vector<std::vector<int64_t>> arg_lists)
+{
+    allTiers(b, std::move(arg_lists), util::SimdLevel::Avx512Vnni);
 }
 
 } // namespace
 
 BENCHMARK(BM_GeluSpan)->Apply([](benchmark::internal::Benchmark *b) {
-    allTiers(b, {256, 128});
+    allTiers(b, {{256, 128}});
 });
 BENCHMARK(BM_AttentionCore)->Apply([](benchmark::internal::Benchmark *b) {
-    allTiers(b, {4, 64, 4, 64});
+    allTiers(b, {{4, 64, 4, 64}});
 });
 
 BENCHMARK(BM_ExactGemm)
@@ -503,62 +389,19 @@ BENCHMARK(BM_ArenaEncodeBatch)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaEncodeInt8)
-    ->Args({256, 512, 4})
-    ->Args({256, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaEncodeInt8Scalar)
-    ->Args({256, 512, 4})
-    ->Args({256, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaEncodeInt8MaddAvx2)
-    ->Args({256, 512, 4})
-    ->Args({256, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaEncodeInt8DotVnni)
-    ->Args({256, 512, 4})
-    ->Args({256, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArenaEncodeInt8)->Apply([](benchmark::internal::Benchmark *b) {
+    bankTiers(b, {{256, 512, 4}, {256, 512, 8}});
+});
 BENCHMARK(BM_ArenaGatherFloat)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
+    ->Args({0, 128, 256, 256})
+    ->Args({0, 256, 512, 512})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8Scalar)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleAvx512)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleAvx2)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4Scalar)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArenaGatherInt8)->Apply([](benchmark::internal::Benchmark *b) {
+    bankTiers(b, {{128, 256, 256}, {256, 512, 512}});
+});
+BENCHMARK(BM_ArenaGatherInt4)->Apply([](benchmark::internal::Benchmark *b) {
+    bankTiers(b, {{128, 256, 256}, {256, 512, 512}});
+});
 
 BENCHMARK(BM_ArenaTileInt4Int8EncSplit)
     ->Args({64, 4608, 512})

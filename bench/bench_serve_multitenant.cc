@@ -7,7 +7,8 @@
  *   1. steady    — mixed interactive + bulk traffic well inside capacity:
  *                  everything serves, and the per-model latency/queue/
  *                  service split lands in the JSON.
- *   2. overload  — a bulk flood several times the queue capacity with
+ *   2. overload  — a bulk flood several times the queue capacity, all
+ *                  submitted before the workers start, with
  *                  interactive traffic interleaved: low-priority bulk is
  *                  shed with typed ResourceExhausted while EVERY
  *                  interactive request is admitted (priority eviction)
@@ -87,14 +88,17 @@ bulkModel(uint64_t seed)
 
 constexpr int64_t kInteractiveDeadlineUs = 250'000;  // the published SLO
 
-/** Build a fresh two-tenant front door for one phase. */
+/** Build a fresh two-tenant front door for one phase; with `autostart`
+ * false its workers wait for start(). */
 std::shared_ptr<serve::FrontDoor>
 makeDoor(const serve::FrozenModel &interactive,
-         const serve::FrozenModel &bulk, int64_t queue_capacity)
+         const serve::FrozenModel &bulk, int64_t queue_capacity,
+         bool autostart = true)
 {
     serve::FrontDoorOptions options;
     options.threads = 2;
     options.queue_capacity = queue_capacity;
+    options.autostart = autostart;
     auto door = serve::FrontDoor::create(options);
     if (!door.ok())
         fatal("front door: ", door.status().toString());
@@ -226,10 +230,13 @@ main(int argc, char **argv)
     // in (evicting bulk if needed) and lands inside its deadline SLO.
     // Interactive count stays below the queue capacity: the phase
     // measures bulk being shed FOR interactive, not interactive
-    // self-flooding past its own admission limit.
+    // self-flooding past its own admission limit. The whole flood is
+    // submitted before the workers start, so it always overflows the
+    // queue however fast this host drains it.
     const int kFlood = 768 / scale;
     const int kOverloadInteractive = 48 / scale;
-    auto overload_door = makeDoor(interactive, bulk, 64);
+    auto overload_door =
+        makeDoor(interactive, bulk, 64, /*autostart=*/false);
     int bulk_ok = 0, bulk_shed = 0, bulk_other = 0;
     int interactive_ok = 0, interactive_failed = 0;
     {
@@ -242,6 +249,7 @@ main(int argc, char **argv)
                 interactive_futures.push_back(overload_door->submitAsync(
                     "interactive", irow, {{}, {}, "web"}));
         }
+        overload_door->start();
         for (auto &future : bulk_futures) {
             auto result = future.get();
             if (result.ok())

@@ -14,15 +14,15 @@ fail=0
 # exist by name so a rename or move cannot silently drop them out of the
 # globbed set (the glob would just stop matching, and the gate would pass
 # while checking nothing).
-# kernels_simd.h and table_arena.h carry the quantized encode plane
-# (EncodeVariant tiers + the INT8 encode bank) — kernel-layer headers,
+# kernels_simd.h, table_arena.h and table_bank.h carry the table banks
+# (one class per precision, built per SIMD tier) — kernel-layer headers,
 # but public surface the serve planner documents against.
 for required in src/serve/frontdoor.h src/serve/registry.h \
                 src/serve/engine.h src/serve/frozen_model.h \
                 src/serve/stage.h src/serve/stage_transformer.h \
                 src/serve/plan.h src/serve/autotune.h \
                 src/lutboost/kernels.h src/lutboost/kernels_simd.h \
-                src/lutboost/table_arena.h; do
+                src/lutboost/table_arena.h src/lutboost/table_bank.h; do
     if [ ! -f "$required" ]; then
         echo "error: required public header $required is missing"
         fail=1

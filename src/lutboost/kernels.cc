@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "lutboost/kernels_simd.h"
-#include "util/cpu_features.h"
-
 namespace lutdla::lutboost {
 
 namespace {
@@ -19,90 +16,21 @@ nanosSince(std::chrono::steady_clock::time_point start)
             .count());
 }
 
-/** Shuffle chunk rows of the vector gather kernels on this CPU. */
-int64_t
-shuffleChunkRows()
-{
-    return simd::shuffleGatherChunkRows(util::simdLevel());
-}
-
-/** True when the arena can honor an Int8 encode request; unsupported
- * arenas (non-L2 metric, oversized subvectors) fall back to the exact
- * float argmin rather than faulting — the planner resolves the same
- * predicate, so the fallback only fires for hand-built configurations. */
-bool
-useInt8Encode(const LutTableArena &arena, EncodePrecision encode)
-{
-    return encode == EncodePrecision::Int8 && arena.int8EncodeSupported();
-}
-
 } // namespace
 
-const char *
-encodePrecisionName(EncodePrecision precision)
-{
-    return precision == EncodePrecision::Int8 ? "int8" : "float32";
-}
-
 void
-KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
-                           int64_t rows, KernelScratch &scratch,
-                           EncodePrecision encode) const
+BankPair::forwardTile(const float *x, int64_t rows, float *y,
+                      KernelScratch &scratch, uint64_t *encode_ns,
+                      uint64_t *gather_ns) const
 {
-    // Every backend shares the arena's encode phase; `encode` picks the
-    // argmin arithmetic (exact float scan vs integer scan over the INT8
-    // encode bank), independent of the gather-side table precision.
-    if (useInt8Encode(arena, encode)) {
-        arena.ensureInt8EncodeBank();
-        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode);
-        return;
-    }
-    arena.encodeBatch(x, rows, scratch.codes, scratch.encode);
-}
-
-void
-KernelBackend::encodePrepare(const LutTableArena &arena, int64_t rows,
-                             vq::CodeBuffer &codes) const
-{
-    codes.reset(rows, arena.numSubspaces(), arena.numCentroids());
-}
-
-void
-KernelBackend::encodeBlock(const LutTableArena &arena, const float *x,
-                           int64_t row0, int64_t rows,
-                           vq::CodeBuffer &codes, KernelScratch &local,
-                           EncodePrecision encode) const
-{
-    if (useInt8Encode(arena, encode)) {
-        arena.ensureInt8EncodeBank();
-        arena.encodeBlockInt8(x, row0, rows, codes, local.encode);
-        return;
-    }
-    arena.encodeBlock(x, row0, rows, codes, local.encode);
-}
-
-void
-KernelBackend::gatherAccumulate(const LutTableArena &arena,
-                                KernelScratch &scratch, float *y) const
-{
-    gatherBlock(arena, scratch.codes, 0, scratch.codes.rows(), y, scratch);
-}
-
-void
-KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
-                           int64_t rows, float *y, KernelScratch &scratch,
-                           uint64_t *encode_ns, uint64_t *gather_ns,
-                           EncodePrecision encode) const
-{
-    const PlanarGather planar_gather = planarGather(arena);
-    const int64_t chunk = planar_gather.chunk;
+    const int64_t chunk = table->chunkRows();
     if (chunk == 0) {
         const auto t0 = std::chrono::steady_clock::now();
-        encodeBatch(arena, x, rows, scratch, encode);
+        encode->encodeBatch(x, rows, scratch.codes, scratch.encode);
         if (encode_ns != nullptr)
             *encode_ns += nanosSince(t0);
         const auto t1 = std::chrono::steady_clock::now();
-        gatherAccumulate(arena, scratch, y);
+        table->gather(scratch.codes, 0, rows, y, scratch.gather);
         if (gather_ns != nullptr)
             *gather_ns += nanosSince(t1);
         return;
@@ -110,25 +38,19 @@ KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
     // Fused: the encode kernels write each chunk's codes straight into
     // the gather's planar lanes (the CCM -> IMM hand-off of the paper's
     // pipeline), so codes never round-trip through a packed CodeBuffer.
-    const bool int8 = useInt8Encode(arena, encode);
-    if (int8)
-        arena.ensureInt8EncodeBank();
+    const LutTableArena &arena = table->arena();
     const int64_t k = arena.inFeatures(), n = arena.outFeatures();
     std::vector<uint8_t> &planar = scratch.gather.planar;
     planar.resize(static_cast<size_t>(arena.numSubspaces() * chunk));
     for (int64_t r0 = 0; r0 < rows; r0 += chunk) {
         const int64_t m = std::min(chunk, rows - r0);
         const auto t0 = std::chrono::steady_clock::now();
-        if (int8)
-            arena.encodePlanarInt8(x + r0 * k, m, planar.data(), chunk,
-                                   scratch.encode);
-        else
-            arena.encodePlanar(x + r0 * k, m, planar.data(), chunk,
-                               scratch.encode);
+        encode->encodePlanar(x + r0 * k, m, planar.data(), chunk,
+                             scratch.encode);
         if (encode_ns != nullptr)
             *encode_ns += nanosSince(t0);
         const auto t1 = std::chrono::steady_clock::now();
-        planar_gather.gather(arena, m, y + r0 * n, scratch.gather);
+        table->gatherPlanar(m, y + r0 * n, scratch.gather);
         if (gather_ns != nullptr)
             *gather_ns += nanosSince(t1);
     }
@@ -137,156 +59,10 @@ KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
 int64_t
 KernelBackend::gatherGranuleRows(const LutTableArena &arena) const
 {
-    // One shuffle chunk when a vector gather kernel runs, else one table
-    // pass per kRowBlock rows (float grouped sweep, scalar group sweeps).
-    const int64_t chunk = planarGather(arena).chunk;
+    // One chunk when a vector gather kernel runs, else one table pass per
+    // kRowBlock rows (float grouped sweep, scalar group sweeps).
+    const int64_t chunk = arena.tableBank(table_).chunkRows();
     return chunk > 0 ? chunk : LutTableArena::kRowBlock;
-}
-
-void
-KernelBackend::prepare(const LutTableArena &) const
-{
-}
-
-namespace {
-
-/** Float-bank gather: bit-exact with LutTableArena::forwardBatch. */
-class ReferenceBackend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "float32"; }
-    bool bitExact() const override { return true; }
-
-    void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
-    {
-        arena.gatherAccumulate(codes, row0, rows, y, local.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.sizeBytes();
-    }
-};
-
-/** INT8-bank gather: ~4x less table traffic, approximate. The variant
- * (shuffle vs scalar) resolves per arena + CPU at run time. */
-class QuantizedBackend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "int8"; }
-    bool bitExact() const override { return false; }
-
-    void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
-    {
-        arena.gatherAccumulateInt8(codes, row0, rows, y, local.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.int8TableBytes();
-    }
-
-    PlanarGather
-    planarGather(const LutTableArena &arena) const override
-    {
-        if (arena.int8AutoVariant() == Int8GatherVariant::Scalar)
-            return {};
-        return {shuffleChunkRows(),
-                [](const LutTableArena &a, int64_t rows, float *y,
-                   GatherScratch &scratch) {
-                    a.gatherPlanarInt8(rows, y, scratch);
-                }};
-    }
-
-    int64_t
-    residentBytes(const LutTableArena &arena) const override
-    {
-        return arena.int8ResidentBytes();
-    }
-
-    void
-    prepare(const LutTableArena &arena) const override
-    {
-        arena.ensureInt8Bank();
-    }
-};
-
-/** INT4-bank gather: nibble-packed tables, ~8x less traffic than float
- * and half the INT8 bank; coarser quantization (see docs/SERVING.md). */
-class Int4Backend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "int4"; }
-    bool bitExact() const override { return false; }
-
-    void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
-    {
-        arena.gatherAccumulateInt4(codes, row0, rows, y, local.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.int4TableBytes();
-    }
-
-    PlanarGather
-    planarGather(const LutTableArena &arena) const override
-    {
-        if (arena.int4AutoVariant() == Int4GatherVariant::Scalar)
-            return {};
-        return {shuffleChunkRows(),
-                [](const LutTableArena &a, int64_t rows, float *y,
-                   GatherScratch &scratch) {
-                    a.gatherPlanarInt4(rows, y, scratch);
-                }};
-    }
-
-    int64_t
-    residentBytes(const LutTableArena &arena) const override
-    {
-        return arena.int4ResidentBytes();
-    }
-
-    void
-    prepare(const LutTableArena &arena) const override
-    {
-        arena.ensureInt4Bank();
-    }
-};
-
-} // namespace
-
-const KernelBackend &
-referenceBackend()
-{
-    static const ReferenceBackend backend;
-    return backend;
-}
-
-const KernelBackend &
-quantizedBackend()
-{
-    static const QuantizedBackend backend;
-    return backend;
-}
-
-const KernelBackend &
-int4Backend()
-{
-    static const Int4Backend backend;
-    return backend;
 }
 
 } // namespace lutdla::lutboost

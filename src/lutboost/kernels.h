@@ -3,37 +3,36 @@
 
 /**
  * @file
- * The precision-pluggable kernel backend behind the serving data plane.
+ * The serving data plane's kernel entry points over an arena's banks.
  *
  * A frozen LUT layer executes in two phases — encode (argmin each row's
- * subvectors against the codebooks, producing bit-packed centroid indices)
- * and gather (accumulate the indexed PSum table rows into the output) —
- * and KernelBackend is the seam where the precision of each phase is
- * chosen:
+ * subvectors against the codebooks, producing centroid codes) and gather
+ * (accumulate the indexed PSum table rows into the output) — and each
+ * phase runs over one bank of the layer's arena (lutboost/table_bank.h).
+ * A serving stage binds one BankPair per arena at plan time and runs
+ * BankPair::forwardTile (or the banks' shardable encodeBlock / gather
+ * spans) on it. The gather-phase TablePrecision picks the table bank:
  *
- *  - referenceBackend(): float table bank; with the default Float32
- *    encode it is bit-exact with eval-mode LutLinear::forward (the
- *    numerics contract every serving test pins).
- *  - quantizedBackend(): gather over the arena's INT8-quantized bank
- *    (per-(subspace, output-block) symmetric scales, ~4x less table
- *    traffic). Approximate — docs/SERVING.md documents the error
- *    envelope, and tests bound top-1 disagreement.
- *  - int4Backend(): gather over the nibble-packed INT4 bank (two output
- *    columns per byte, ~8x less traffic than float). Coarser still; the
- *    per-stage mixed-precision auto-tuner (serve/autotune.h) decides
- *    where it is safe.
+ *  - Float32: the float table bank; with Float32 encode it is bit-exact
+ *    with eval-mode LutLinear::forward (the numerics contract every
+ *    serving test pins).
+ *  - Int8: the INT8-quantized bank (per-(subspace group, output block)
+ *    symmetric scales, ~4x less table traffic). Approximate —
+ *    docs/SERVING.md documents the error envelope, and tests bound top-1
+ *    disagreement.
+ *  - Int4: the nibble-packed INT4 bank (two output columns per byte, ~8x
+ *    less traffic than float). Coarser still; the per-stage
+ *    mixed-precision auto-tuner (serve/autotune.h) decides where it is
+ *    safe.
  *
  * The ENCODE phase has its own, orthogonal precision axis
- * (EncodePrecision below): every backend defaults to the exact float
- * argmin, and any backend can instead run the INT8 integer argmin over
- * the arena's quantized encode bank — the planner picks per stage, and
- * the auto-tuner searches the joint (table, encode) space.
+ * (EncodePrecision): Float32 by default, and Int8 runs the integer
+ * argmin over the arena's INT8 encode bank where the arena supports it.
  *
- * Backends are stateless singletons; all mutable per-batch state lives in
- * the caller-owned KernelScratch, so one backend serves every worker
- * thread concurrently. Serving stages (serve/stage.h) hold a backend
- * pointer chosen by the lowering-time planner (serve/plan.h) and emit
- * encodeBatch/gatherAccumulate calls instead of doing inline math.
+ * Banks are immutable; all mutable per-batch state lives in the
+ * caller-owned KernelScratch, so one BankPair serves every worker thread
+ * concurrently. KernelBackend is the small precision value a stage
+ * reports (name, bit-exactness, gather granule).
  */
 
 #include <cstdint>
@@ -86,172 +85,71 @@ struct KernelScratch
     GatherScratch gather;        ///< unpacked / planar / colmajor scratch
 };
 
-/**
- * Precision of the ENCODE phase, orthogonal to the backend's gather
- * precision: Float32 is the bit-exact argmin every numerics contract
- * pins; Int8 runs the integer argmin over the arena's quantized encode
- * bank (VNNI/AVX2 tiers, ~4x less codebook traffic) and carries a top-1
- * agreement envelope instead. Lives here rather than in serve/plan.h so
- * the lutboost layer needs no serve dependency; the serving planner
- * re-exports it (serve::EncodePrecision) and resolves per-stage choices.
- */
-enum class EncodePrecision
+/** The (table bank, encode bank) pair one LUT GEMM runs on; both banks
+ * read the same arena. */
+struct BankPair
 {
-    Float32,  ///< exact float argmin (default; bit-exact contract)
-    Int8      ///< integer argmin over the INT8 encode bank (L2 only)
+    const TableBank *table = nullptr;
+    const EncodeBank *encode = nullptr;
+
+    /** Bytes both banks allocated, beyond the arena's float source. */
+    int64_t
+    residentBytes() const
+    {
+        return table->residentBytes() + encode->residentBytes();
+    }
+
+    /**
+     * Encode `rows` contiguous rows of `x` and gather them into `y`. When
+     * the table bank has a chunk kernel (TableBank::chunkRows() > 0),
+     * each chunk is encoded straight into the gather's planar code lanes
+     * and gathered from there — no CodeBuffer pack or unpack. Otherwise
+     * it is encodeBatch into scratch.codes + gather. Phase wall times are
+     * accumulated per chunk into *encode_ns / *gather_ns (either may be
+     * null). Bit-exact with the split pair: every encode tier selects
+     * the same codes and every gather tier of a precision yields the
+     * same bits.
+     */
+    void forwardTile(const float *x, int64_t rows, float *y,
+                     KernelScratch &scratch, uint64_t *encode_ns,
+                     uint64_t *gather_ns) const;
 };
 
-/** Stable tag for plans and reports: "float32" / "int8". */
-const char *encodePrecisionName(EncodePrecision precision);
-
 /**
- * One precision choice for the encode -> gather execution of a frozen LUT
- * layer. Implementations are stateless and thread-safe; per-batch state
- * lives in the caller's KernelScratch.
+ * The gather-phase precision a serving stage was planned with: its tags
+ * and the gather granule its table bank imposes on row tiles. The
+ * kernels themselves run on the stage's BankPair.
  */
 class KernelBackend
 {
   public:
-    virtual ~KernelBackend() = default;
+    explicit KernelBackend(TablePrecision table = TablePrecision::Float32)
+        : table_(table)
+    {
+    }
+
+    /** The gather-phase precision this backend runs. */
+    TablePrecision precision() const { return table_; }
 
     /** Stable backend tag for plans and reports, e.g. "float32". */
-    virtual std::string name() const = 0;
+    const char *name() const { return tablePrecisionName(table_); }
 
     /** True when gather runs over the bit-exact float bank. */
-    virtual bool bitExact() const = 0;
-
-    /**
-     * Encode phase: argmin-encode `rows` rows of `x` (arena.inFeatures()
-     * wide) into scratch.codes at the arena's packed code width. Applies
-     * the arena's BF16 input rounding via scratch.encode. `encode`
-     * selects the argmin arithmetic: Float32 is the exact scan; Int8
-     * routes through the arena's quantized encode bank when the arena
-     * supports it (L2 metric) and silently falls back to the exact scan
-     * otherwise, mirroring how the planner resolves the choice.
-     */
-    virtual void encodeBatch(
-        const LutTableArena &arena, const float *x, int64_t rows,
-        KernelScratch &scratch,
-        EncodePrecision encode = EncodePrecision::Float32) const;
-
-    /**
-     * Size `codes` for a `rows`-row batch before sharded encode: shards
-     * then fill disjoint row spans of the shared buffer concurrently.
-     */
-    void encodePrepare(const LutTableArena &arena, int64_t rows,
-                       vq::CodeBuffer &codes) const;
-
-    /**
-     * Shardable encode span: encode rows [row0, row0 + rows) of the full
-     * batch `x` into the shared (already encodePrepare'd) `codes`,
-     * staging through the EXECUTING worker's `local` scratch. `encode`
-     * follows the encodeBatch contract (Int8 with fallback to Float32).
-     */
-    virtual void encodeBlock(
-        const LutTableArena &arena, const float *x, int64_t row0,
-        int64_t rows, vq::CodeBuffer &codes, KernelScratch &local,
-        EncodePrecision encode = EncodePrecision::Float32) const;
-
-    /**
-     * Gather phase: accumulate the table rows scratch.codes selects into
-     * `y` ([rows, arena.outFeatures()]), bias included. Default
-     * implementation runs gatherBlock over the whole buffer.
-     */
-    virtual void gatherAccumulate(const LutTableArena &arena,
-                                  KernelScratch &scratch, float *y) const;
-
-    /**
-     * Fused tile entry point for the row-tiled segment executor: encode
-     * `rows` contiguous rows of `x` and immediately gather them into `y`.
-     * When this backend's gather runs a shuffle/VNNI chunk kernel for the
-     * arena (planarGather().chunk > 0), each chunk is encoded straight
-     * into the gather's planar code lanes and gathered from there — no
-     * CodeBuffer pack or unpack. Otherwise it is the encodeBatch +
-     * gatherAccumulate pair. Phase wall times are accumulated per chunk
-     * into *encode_ns / *gather_ns (either may be null). Bit-exact with a
-     * separate encodeBatch + gatherAccumulate pair: every encode tier
-     * selects the same codes and every gather variant of a bank yields
-     * the same bits.
-     */
-    void forwardTile(const LutTableArena &arena, const float *x,
-                     int64_t rows, float *y, KernelScratch &scratch,
-                     uint64_t *encode_ns, uint64_t *gather_ns,
-                     EncodePrecision encode = EncodePrecision::Float32)
-        const;
-
-    /**
-     * A backend's planar chunk gather for one arena: the rows of one
-     * fused encode -> gather chunk (64 on AVX-512, 32 on AVX2) and the
-     * gather that consumes a chunk's [Nc, chunk] code lanes from
-     * scratch.planar, filling `rows` (<= chunk) rows of `y`, bias
-     * included. chunk == 0 (and a null gather) means the backend has no
-     * chunk kernel for the arena, so forwardTile never fuses.
-     */
-    struct PlanarGather
-    {
-        int64_t chunk = 0;
-        void (*gather)(const LutTableArena &arena, int64_t rows, float *y,
-                       GatherScratch &scratch) = nullptr;
-    };
-
-    /** This backend's planar chunk gather for `arena`; none by default. */
-    virtual PlanarGather
-    planarGather(const LutTableArena &) const
-    {
-        return {};
-    }
+    bool bitExact() const { return table_ == TablePrecision::Float32; }
 
     /**
      * Rows one full sweep of this backend's table bank covers: one
-     * shuffle-gather chunk (planarGather().chunk: 64 on AVX-512, 32 on
-     * AVX2) for the vectorized INT8/INT4 banks, else kRowBlock (256) —
-     * the float bank's grouped sweep and the scalar quantized paths. Row
-     * tiles that are a multiple of this granule add NO extra table
-     * traffic versus the untiled sweep — the planner's tile-size model
-     * rounds to it.
+     * planar chunk (64 on AVX-512, 32 on AVX2) for the vectorized
+     * INT8/INT4 banks, else kRowBlock (256) — the float bank's grouped
+     * sweep and the scalar quantized sweeps. Row tiles that are a
+     * multiple of this granule add NO extra table traffic versus the
+     * untiled sweep — the planner's tile-size model rounds to it.
      */
     int64_t gatherGranuleRows(const LutTableArena &arena) const;
 
-    /**
-     * Shardable gather span: fill output rows [row0, row0 + rows) of `y`
-     * (the full output base) from the same rows of `codes`, using the
-     * EXECUTING worker's `local` scratch. Disjoint spans never race.
-     */
-    virtual void gatherBlock(const LutTableArena &arena,
-                             const vq::CodeBuffer &codes, int64_t row0,
-                             int64_t rows, float *y,
-                             KernelScratch &local) const = 0;
-
-    /** Bytes the gather phase streams per full table sweep. */
-    virtual int64_t tableBytes(const LutTableArena &arena) const = 0;
-
-    /**
-     * Bytes the backend keeps RESIDENT for this arena — the gather
-     * stream plus any CPU-capability-gated mirror layouts (interleaved
-     * shuffle banks, VNNI quads). Defaults to tableBytes(); quantized
-     * backends override with their bank's resident accounting.
-     */
-    virtual int64_t
-    residentBytes(const LutTableArena &arena) const
-    {
-        return tableBytes(arena);
-    }
-
-    /**
-     * One-time lowering hook: build whatever derived tables the gather
-     * phase needs (e.g. the INT8 bank) so serving never pays the cost.
-     */
-    virtual void prepare(const LutTableArena &arena) const;
+  private:
+    TablePrecision table_;
 };
-
-/** The bit-exact float-bank backend (today's semantics). */
-const KernelBackend &referenceBackend();
-
-/** The packed-code + INT8-table backend. */
-const KernelBackend &quantizedBackend();
-
-/** The packed-code + nibble-packed INT4-table backend. */
-const KernelBackend &int4Backend();
 
 } // namespace lutdla::lutboost
 

@@ -129,8 +129,8 @@ bool int8EncodeSupported(util::SimdLevel level);
  * At SimdLevel::Avx512Vnni 16 rows share one zmm and each (quad,
  * centroid) is one VPDPBUSD; at AVX2 / plain AVX-512, 8 rows share a ymm
  * and each is VPMADDUBSW + VPMADDWD. Both produce the identical int32
- * scores as the scalar reference in LutTableArena, so codes match
- * bit-for-bit.
+ * scores as the generic-tier INT8 encode bank's scalar reference
+ * (lutboost/table_bank.h), so codes match bit-for-bit.
  */
 void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        int64_t stride, const int8_t *cs_quad,
@@ -155,7 +155,7 @@ int64_t shuffleGatherChunkRows(util::SimdLevel level);
  * @param planar     planar codes for the chunk: code (s, row r) at
  *                   (s * chunk + r); values < 16.
  * @param num_subspaces / n / num_blocks / scale_group / block_cols
- *                   bank geometry (see LutTableArena).
+ *                   bank geometry (see LutTableArena's scale constants).
  * @param colmajor   [n, chunk] output, overwritten: colmajor[col * chunk
  *                   + r] = sum over groups of scale * int-sum. The caller
  *                   transposes into the row-major output block.

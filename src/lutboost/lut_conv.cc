@@ -36,13 +36,13 @@ convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
 }
 
 void
-convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
+convArenaForward(const BankPair &banks, const ConvGeometry &geom,
                  const float *x, int64_t n, int64_t h, int64_t w, float *y,
-                 ConvScratch &scratch, const KernelBackend &backend,
-                 KernelScratch &kscratch, uint64_t *encode_ns,
-                 uint64_t *gather_ns, EncodePrecision encode)
+                 ConvScratch &scratch, KernelScratch &kscratch,
+                 uint64_t *encode_ns, uint64_t *gather_ns)
 {
     using Clock = std::chrono::steady_clock;
+    const LutTableArena &arena = banks.table->arena();
     const int64_t Ho = geom.outSize(h), Wo = geom.outSize(w);
     LUTDLA_CHECK(Ho > 0 && Wo > 0, "conv output collapsed to zero");
     LUTDLA_CHECK(arena.inFeatures() == geom.patchSize(),
@@ -55,10 +55,11 @@ convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
     scratch.cols.resize(static_cast<size_t>(rows * geom.patchSize()));
     scratch.flat.resize(static_cast<size_t>(rows * co_dim));
     im2colInto(x, n, h, w, geom, scratch.cols.data());
-    backend.encodeBatch(arena, scratch.cols.data(), rows, kscratch,
-                        encode);
+    banks.encode->encodeBatch(scratch.cols.data(), rows, kscratch.codes,
+                              kscratch.encode);
     const auto t1 = Clock::now();
-    backend.gatherAccumulate(arena, kscratch, scratch.flat.data());
+    banks.table->gather(kscratch.codes, 0, rows, scratch.flat.data(),
+                        kscratch.gather);
 
     // [n*Ho*Wo, C_out] -> NCHW, same traversal as LutConv2d::forward.
     const float *flat = scratch.flat.data();

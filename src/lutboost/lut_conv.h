@@ -50,23 +50,20 @@ void convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
                       float *y, ConvScratch &scratch);
 
 /**
- * Backend-dispatched variant of convArenaForward: the lowered GEMM runs as
- * an explicit encode -> gather pair through `backend` (reference float or
- * quantized; see lutboost/kernels.h) with packed codes in `kscratch`.
- * When `encode_ns` / `gather_ns` are non-null, the im2col + encode and
+ * Bank-dispatched variant of convArenaForward: the lowered GEMM runs as
+ * an explicit encode -> gather pair over `banks` (one arena's bound
+ * pair; see lutboost/kernels.h) with packed codes in `kscratch`. When
+ * `encode_ns` / `gather_ns` are non-null, the im2col + encode and
  * gather + NCHW-reshape phase times are accumulated into them — the
- * serving engine's encode/gather stat split. `encode` selects the argmin
- * arithmetic for the lowered GEMM (see KernelBackend::encodeBatch).
- * Bit-exact with the fused overload when `backend` is the reference
- * backend and `encode` is Float32.
+ * serving engine's encode/gather stat split. Bit-exact with the fused
+ * overload when both banks are the float banks.
  */
-void convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
+void convArenaForward(const BankPair &banks, const ConvGeometry &geom,
                       const float *x, int64_t n, int64_t h, int64_t w,
                       float *y, ConvScratch &scratch,
-                      const KernelBackend &backend, KernelScratch &kscratch,
+                      KernelScratch &kscratch,
                       uint64_t *encode_ns = nullptr,
-                      uint64_t *gather_ns = nullptr,
-                      EncodePrecision encode = EncodePrecision::Float32);
+                      uint64_t *gather_ns = nullptr);
 
 /** Conv2d whose lowered GEMM runs through a LutLinear. */
 class LutConv2d : public nn::Layer

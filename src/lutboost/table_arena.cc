@@ -1,12 +1,7 @@
 #include "lutboost/table_arena.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 
-#include "lutboost/kernels_simd.h"
-#include "util/cpu_features.h"
 #include "util/logging.h"
 #include "vq/quant.h"
 
@@ -58,309 +53,50 @@ LutTableArena::LutTableArena(const vq::ProductQuantizer &pq,
                   data_.data() + bias_offset_);
 }
 
-namespace {
-
-/**
- * Distances from one subvector to EVERY centroid of a transposed [v, c]
- * codebook, written into `d[c]`. For a fixed centroid j the elementwise
- * terms accumulate in ascending t order — exactly the order
- * vq::l2Squared / l1 / chebyshev use — so each d[j] is bit-identical to
- * the reference distance, and the ascending-j argmin scan below inherits
- * vq::argminCentroid's lower-index tie-break. The transposed layout makes
- * the inner loop contiguous over centroids, which is what lets it
- * vectorize; per-centroid scalar chains are latency-bound instead.
- */
-template <vq::Metric M>
-inline void
-distanceAll(const float *__restrict__ sub, const float *__restrict__ cbt,
-            int64_t c, int64_t v, float *__restrict__ d)
+bool
+LutTableArena::int8EncodeSupported() const
 {
-    for (int64_t j = 0; j < c; ++j)
-        d[j] = 0.0f;
-    for (int64_t t = 0; t < v; ++t) {
-        const float a = sub[t];
-        const float *__restrict__ row = cbt + t * c;
-        if constexpr (M == vq::Metric::L2) {
-            for (int64_t j = 0; j < c; ++j) {
-                const float diff = a - row[j];
-                d[j] += diff * diff;
-            }
-        } else if constexpr (M == vq::Metric::L1) {
-            for (int64_t j = 0; j < c; ++j)
-                d[j] += std::fabs(a - row[j]);
-        } else {
-            for (int64_t j = 0; j < c; ++j)
-                d[j] = std::max(d[j], std::fabs(a - row[j]));
-        }
-    }
+    // The integer score norm - 2 * dot is bounded by
+    // v * (127^2 + 2 * 127 * 128); capping v keeps it inside int32 — every
+    // realistic PQ subvector is orders of magnitude shorter.
+    return metric_ == vq::Metric::L2 && subvector_len_ <= 32768;
 }
 
-/**
- * Quantize one value onto a subspace's 7-bit encode grid. The exact op
- * sequence the SIMD tiers vectorize: (x - lo) * inv in float (this TU
- * builds with -ffp-contract=off, so sub and mul never contract), clamp
- * in the FLOAT domain with the MAXPS/MINPS select semantics (t > 0 ? t :
- * 0 maps NaN to 0, exactly like _mm*_max_ps(t, 0)), then
- * round-to-nearest-even (std::nearbyint under the default FP
- * environment == CVTPS2DQ). Used for BOTH the bank's centroids and the
- * encode-time inputs — sharing the grid is what makes the integer
- * argmin equivalent to the quantized L2 argmin.
- */
-inline int32_t
-quantizeEncodeLevel(float x, float lo, float inv)
+const TableBank &
+LutTableArena::tableBank(TablePrecision precision) const
 {
-    float t = (x - lo) * inv;
-    t = t > 0.0f ? t : 0.0f;
-    t = t < 127.0f ? t : 127.0f;
-    return static_cast<int32_t>(std::nearbyint(t));
+    const auto i = static_cast<size_t>(precision);
+    std::call_once(table_once_[i], [&] {
+        table_banks_[i] = makeTableBank(*this, precision);
+        table_built_[i].store(true, std::memory_order_release);
+    });
+    return *table_banks_[i];
 }
 
-inline int32_t
-argminScan(const float *__restrict__ d, int64_t c)
+bool
+LutTableArena::tableBankBuilt(TablePrecision precision) const
 {
-    int32_t best = 0;
-    float best_dist = d[0];
-    for (int64_t j = 1; j < c; ++j) {
-        if (d[j] < best_dist) {
-            best_dist = d[j];
-            best = static_cast<int32_t>(j);
-        }
-    }
-    return best;
+    return table_built_[static_cast<size_t>(precision)].load(
+        std::memory_order_acquire);
 }
 
-/**
- * The scalar INT8 group sweep as a free function over raw restrict
- * pointers: in this exact shape GCC vectorizes the unrolled 16-deep
- * widen-add reduction; as a member-function body (q/scales reached
- * through the bank reference) it refuses and emits byte-scalar code
- * ~10x slower. noinline keeps this compilation context when the caller
- * inlines around it.
- */
-__attribute__((noinline)) void
-sweepInt8ColOuter(const int8_t *__restrict__ qbank,
-                  const float *__restrict__ scales,
-                  const int32_t *__restrict__ codes, int64_t bn,
-                  int64_t n, int64_t num_subspaces, int64_t c,
-                  int64_t num_blocks, int64_t num_groups,
-                  float *__restrict__ yb)
+const EncodeBank &
+LutTableArena::encodeBank(EncodePrecision precision) const
 {
-    constexpr int64_t G = LutTableArena::kInt8ScaleGroup;
-    constexpr int64_t B = LutTableArena::kInt8BlockCols;
-    for (int64_t g = 0; g < num_groups; ++g) {
-        const int64_t s0 = g * G;
-        const int64_t gs = std::min<int64_t>(G, num_subspaces - s0);
-        const float *srow = scales + g * num_blocks;
-        for (int64_t r = 0; r < bn; ++r) {
-            const int32_t *rcodes = codes + r * num_subspaces;
-            float *__restrict__ yr = yb + r * n;
-            const int8_t *__restrict__ q[G];
-            for (int64_t gi = 0; gi < gs; ++gi) {
-                const int64_t s = s0 + gi;
-                q[gi] = qbank + (s * c + rcodes[s]) * n;
-            }
-            for (int64_t b = 0; b < num_blocks; ++b) {
-                const int64_t c0 = b * B;
-                const int64_t c1 = std::min(n, c0 + B);
-                const float scale = srow[b];
-                if (gs == G) {
-                    for (int64_t col = c0; col < c1; ++col) {
-                        int32_t acc = 0;
-                        for (int64_t gi = 0; gi < G; ++gi)
-                            acc += q[gi][col];
-                        yr[col] += scale * static_cast<float>(acc);
-                    }
-                } else {
-                    for (int64_t col = c0; col < c1; ++col) {
-                        int32_t acc = 0;
-                        for (int64_t gi = 0; gi < gs; ++gi)
-                            acc += q[gi][col];
-                        yr[col] += scale * static_cast<float>(acc);
-                    }
-                }
-            }
-        }
-    }
+    const auto i = static_cast<size_t>(precision);
+    std::call_once(encode_once_[i], [&] {
+        encode_banks_[i] = makeEncodeBank(*this, precision);
+        encode_built_[i].store(true, std::memory_order_release);
+    });
+    return *encode_banks_[i];
 }
 
-/**
- * The scalar INT4 packed group sweep, a free function for the same
- * vectorization reason as sweepInt8ColOuter. Walks packed column PAIRS:
- * each byte yields both nibble planes with one AND + one shift, biased
- * sums accumulate exactly in int32, and the single bias-correcting
- * subtract + dequantizing mul + add per (group, column) matches the
- * shuffle kernels' float op sequence bit for bit.
- */
-__attribute__((noinline)) void
-sweepInt4ColOuter(const uint8_t *__restrict__ qbank,
-                  const float *__restrict__ scales,
-                  const int32_t *__restrict__ codes, int64_t bn,
-                  int64_t n, int64_t half_n, int64_t num_subspaces,
-                  int64_t c, int64_t num_blocks, int64_t num_groups,
-                  float *__restrict__ yb)
+bool
+LutTableArena::encodeBankBuilt(EncodePrecision precision) const
 {
-    constexpr int64_t G = LutTableArena::kInt4ScaleGroup;
-    constexpr int64_t B = LutTableArena::kInt4BlockCols;
-    for (int64_t g = 0; g < num_groups; ++g) {
-        const int64_t s0 = g * G;
-        const int64_t gs = std::min<int64_t>(G, num_subspaces - s0);
-        const int32_t bias = static_cast<int32_t>(8 * gs);
-        const float *srow = scales + g * num_blocks;
-        for (int64_t r = 0; r < bn; ++r) {
-            const int32_t *rcodes = codes + r * num_subspaces;
-            float *__restrict__ yr = yb + r * n;
-            const uint8_t *__restrict__ q[G];
-            for (int64_t gi = 0; gi < gs; ++gi) {
-                const int64_t s = s0 + gi;
-                q[gi] = qbank + (s * c + rcodes[s]) * half_n;
-            }
-            for (int64_t b = 0; b < num_blocks; ++b) {
-                const int64_t c0 = b * B;
-                const int64_t c1 = std::min(n, c0 + B);
-                const float scale = srow[b];
-                // B is even, so c0 is even and the block covers whole
-                // pairs — except the final block of an odd N, whose
-                // dangling low-plane column is handled after the loop.
-                const int64_t p0 = c0 >> 1;
-                const int64_t pairs = (c1 - c0) >> 1;
-                if (gs == G) {
-                    for (int64_t p = 0; p < pairs; ++p) {
-                        int32_t alo = 0, ahi = 0;
-                        for (int64_t gi = 0; gi < G; ++gi) {
-                            const int32_t byte = q[gi][p0 + p];
-                            alo += byte & 15;
-                            ahi += byte >> 4;
-                        }
-                        yr[c0 + 2 * p] +=
-                            scale * static_cast<float>(alo - bias);
-                        yr[c0 + 2 * p + 1] +=
-                            scale * static_cast<float>(ahi - bias);
-                    }
-                } else {
-                    for (int64_t p = 0; p < pairs; ++p) {
-                        int32_t alo = 0, ahi = 0;
-                        for (int64_t gi = 0; gi < gs; ++gi) {
-                            const int32_t byte = q[gi][p0 + p];
-                            alo += byte & 15;
-                            ahi += byte >> 4;
-                        }
-                        yr[c0 + 2 * p] +=
-                            scale * static_cast<float>(alo - bias);
-                        yr[c0 + 2 * p + 1] +=
-                            scale * static_cast<float>(ahi - bias);
-                    }
-                }
-                if ((c1 - c0) & 1) {
-                    int32_t alo = 0;
-                    for (int64_t gi = 0; gi < gs; ++gi)
-                        alo += q[gi][half_n - 1] & 15;
-                    yr[n - 1] += scale * static_cast<float>(alo - bias);
-                }
-            }
-        }
-    }
+    return encode_built_[static_cast<size_t>(precision)].load(
+        std::memory_order_acquire);
 }
-
-/**
- * Transpose the first `valid_rows` rows of one shuffle-gather chunk's
- * column-major accumulators ([n, chunk]) into the row-major output block
- * ([valid_rows, n]). 16x16 tiles keep both sides cache-friendly; values
- * are moved, never recomputed, so this cannot perturb numerics.
- */
-inline void
-transposeColMajor(const float *__restrict__ colmajor, int64_t chunk,
-                  int64_t n, int64_t valid_rows, float *__restrict__ yb)
-{
-    constexpr int64_t T = 16;
-    for (int64_t r0 = 0; r0 < valid_rows; r0 += T) {
-        const int64_t r1 = std::min(valid_rows, r0 + T);
-        for (int64_t c0 = 0; c0 < n; c0 += T) {
-            const int64_t c1 = std::min(n, c0 + T);
-            for (int64_t r = r0; r < r1; ++r)
-                for (int64_t col = c0; col < c1; ++col)
-                    yb[r * n + col] = colmajor[col * chunk + r];
-        }
-    }
-}
-
-/** A gather span [row0, row0 + rows) must lie inside `codes`, which must
- * carry `num_subspaces` codes per row. */
-void
-checkGatherSpan(const vq::CodeBuffer &codes, int64_t num_subspaces,
-                int64_t row0, int64_t rows)
-{
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
-}
-
-/**
- * Where an encode writes its codes. The SIMD tiers emit one subspace at a
- * time as a byte plane — into `plane(s)`, then `commit(s, rows)` — while
- * the scalar scans, which also serve c > 256, store code by code via
- * `set`. PlanarSink aims the kernels straight at the shuffle gather's
- * code lanes; the other two stage the plane and pack it.
- */
-struct PlanarSink
-{
-    uint8_t *planar;
-    int64_t stride;
-
-    uint8_t *plane(int64_t s) const { return planar + s * stride; }
-    void commit(int64_t, int64_t) const {}
-    void
-    set(int64_t i, int64_t s, int32_t code) const
-    {
-        planar[s * stride + i] = static_cast<uint8_t>(code);
-    }
-};
-
-/** Packs each plane into rows [row0, row0 + rows) of a CodeBuffer. */
-struct PackedSink
-{
-    vq::CodeBuffer &codes;
-    int64_t row0;
-    uint8_t *buf;
-
-    uint8_t *plane(int64_t) const { return buf; }
-    void
-    commit(int64_t s, int64_t rows) const
-    {
-        for (int64_t i = 0; i < rows; ++i)
-            codes.set(row0 + i, s, buf[i]);
-    }
-    void
-    set(int64_t i, int64_t s, int32_t code) const
-    {
-        codes.set(row0 + i, s, code);
-    }
-};
-
-/** Scatters each plane into row-major int32 codes ([rows, nc]). */
-struct RowMajorSink
-{
-    int32_t *codes;
-    int64_t nc;
-    uint8_t *buf;
-
-    uint8_t *plane(int64_t) const { return buf; }
-    void
-    commit(int64_t s, int64_t rows) const
-    {
-        for (int64_t i = 0; i < rows; ++i)
-            codes[i * nc + s] = buf[i];
-    }
-    void
-    set(int64_t i, int64_t s, int32_t code) const
-    {
-        codes[i * nc + s] = code;
-    }
-};
-
-} // namespace
 
 const float *
 LutTableArena::subspaceRows(const float *x, int64_t rows, int64_t s,
@@ -395,221 +131,13 @@ LutTableArena::stageInputs(const float *x, int64_t rows,
     return scratch.staging.data();
 }
 
-template <vq::Metric M, typename Sink>
-void
-LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
-                              EncodeScratch &scratch, Sink &sink) const
-{
-    const int64_t v = subvector_len_, c = num_centroids_;
-    // Register-resident fast paths, dispatched on the RUNNING CPU (cpuid,
-    // not compile flags): the flagship L2 / c=16 kernel, or the masked
-    // generic-c tier for any other c <= 64.
-    const util::SimdLevel level = util::simdLevel();
-    bool c16 = false, generic = false;
-    if constexpr (M == vq::Metric::L2) {
-        c16 = c == 16 && simd::encodeL2C16Supported(level);
-        generic = !c16 && simd::encodeL2GenericSupported(level, c);
-    }
-    if (!c16 && !generic)
-        scratch.dist.resize(static_cast<size_t>(c));
-    // Subspace-outer: one ~c*v-float codebook stays L1-resident across the
-    // whole batch instead of streaming every codebook for every row.
-    for (int64_t s = 0; s < num_subspaces_; ++s) {
-        int64_t stride = 0;
-        const float *xs = subspaceRows(x, rows, s, scratch, stride);
-        const float *cbt = codebookT(s);
-        if (c16 || generic) {
-            uint8_t *out = sink.plane(s);
-            if (c16)
-                simd::encodeL2C16Rows(level, xs, rows, stride, cbt, v, out);
-            else
-                simd::encodeL2GenericRows(level, xs, rows, stride, cbt, v,
-                                          c, out);
-            sink.commit(s, rows);
-            continue;
-        }
-        for (int64_t i = 0; i < rows; ++i) {
-            distanceAll<M>(xs + i * stride, cbt, c, v, scratch.dist.data());
-            sink.set(i, s, argminScan(scratch.dist.data(), c));
-        }
-    }
-}
-
-template <typename Sink>
-void
-LutTableArena::encodeDispatch(const float *x, int64_t rows,
-                              EncodeScratch &scratch, Sink &sink) const
-{
-    switch (metric_) {
-      case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, scratch, sink);
-        return;
-      case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, scratch, sink);
-        return;
-      case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, scratch, sink);
-        return;
-    }
-}
-
-void
-LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes,
-                          EncodeScratch &scratch) const
-{
-    scratch.plane.resize(static_cast<size_t>(rows));
-    RowMajorSink sink{codes, num_subspaces_, scratch.plane.data()};
-    encodeDispatch(x, rows, scratch, sink);
-}
-
-void
-LutTableArena::encodeBatch(const float *x, int64_t rows,
-                           vq::CodeBuffer &codes,
-                           EncodeScratch &scratch) const
-{
-    codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlock(x, 0, rows, codes, scratch);
-}
-
-void
-LutTableArena::encodeBlock(const float *x, int64_t row0, int64_t rows,
-                           vq::CodeBuffer &codes,
-                           EncodeScratch &scratch) const
-{
-    const float *xb = stageInputs(x + row0 * in_features_, rows, scratch);
-    scratch.plane.resize(static_cast<size_t>(rows));
-    PackedSink sink{codes, row0, scratch.plane.data()};
-    encodeDispatch(xb, rows, scratch, sink);
-}
-
-void
-LutTableArena::encodePlanar(const float *x, int64_t rows, uint8_t *planar,
-                            int64_t stride, EncodeScratch &scratch) const
-{
-    LUTDLA_CHECK(num_centroids_ <= 256 && rows <= stride,
-                 "planar encode needs c <= 256 and rows <= stride");
-    const float *xb = stageInputs(x, rows, scratch);
-    PlanarSink sink{planar, stride};
-    encodeDispatch(xb, rows, scratch, sink);
-}
-
-template <typename Sink>
-void
-LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
-                              EncodeVariant variant, EncodeScratch &scratch,
-                              Sink &sink) const
-{
-    LUTDLA_CHECK(int8_encode_bank_ != nullptr,
-                 "INT8 encode requires ensureInt8EncodeBank() first");
-    const Int8EncodeBank &bank = *int8_encode_bank_;
-    const int64_t v = subvector_len_, c = num_centroids_;
-    if (variant == EncodeVariant::Auto)
-        variant = int8EncodeAutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == EncodeVariant::DotVnni)
-        level = util::SimdLevel::Avx512Vnni;
-    else if (variant == EncodeVariant::MaddAvx2)
-        level = util::SimdLevel::Avx2;
-    const bool vector = variant != EncodeVariant::Scalar;
-    if (vector) {
-        LUTDLA_CHECK(!bank.cs_quad.empty(),
-                     "SIMD INT8 encode needs c <= 16 and v <= 128 (got "
-                     "c = ", c, ", v = ", v, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested encode variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    } else {
-        scratch.xq.resize(static_cast<size_t>(v));
-    }
-    // Same subspace-outer structure as the float encode: one subspace's
-    // bank stays L1-resident across the whole batch, and the ragged tail
-    // is zero-padded and encoded like a full subspace.
-    for (int64_t s = 0; s < num_subspaces_; ++s) {
-        int64_t stride = 0;
-        const float *xs = subspaceRows(x, rows, s, scratch, stride);
-        const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
-        const float lo = bank.lo[static_cast<size_t>(s)];
-        const float inv = bank.inv[static_cast<size_t>(s)];
-        if (vector) {
-            simd::encodeInt8C16Rows(level, xs, rows, stride,
-                                    bank.cs_quad.data() + s * bank.vq4 * 64,
-                                    norms, lo, inv, v, c, sink.plane(s));
-            sink.commit(s, rows);
-            continue;
-        }
-        // Scalar integer reference: identical quantization (shared
-        // quantizeEncodeLevel), identical int32 scores, identical
-        // strict-< lowest-index argmin — the SIMD tiers are
-        // bit-identical to this by construction, and the property tests
-        // pin it.
-        const int8_t *cs = bank.cs.data() + s * c * v;
-        int32_t *xq = scratch.xq.data();
-        for (int64_t i = 0; i < rows; ++i) {
-            const float *sub = xs + i * stride;
-            for (int64_t t = 0; t < v; ++t)
-                xq[t] = quantizeEncodeLevel(sub[t], lo, inv);
-            int32_t best = 0;
-            int32_t best_score = std::numeric_limits<int32_t>::max();
-            for (int64_t j = 0; j < c; ++j) {
-                const int8_t *crow = cs + j * v;
-                int32_t dot = 0;
-                for (int64_t t = 0; t < v; ++t)
-                    dot += xq[t] * static_cast<int32_t>(crow[t]);
-                const int32_t score = norms[j] - 2 * dot;
-                if (score < best_score) {
-                    best_score = score;
-                    best = static_cast<int32_t>(j);
-                }
-            }
-            sink.set(i, s, best);
-        }
-    }
-}
-
-void
-LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
-                               vq::CodeBuffer &codes,
-                               EncodeScratch &scratch,
-                               EncodeVariant variant) const
-{
-    codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlockInt8(x, 0, rows, codes, scratch, variant);
-}
-
-void
-LutTableArena::encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
-                               vq::CodeBuffer &codes,
-                               EncodeScratch &scratch,
-                               EncodeVariant variant) const
-{
-    const float *xb = stageInputs(x + row0 * in_features_, rows, scratch);
-    scratch.plane.resize(static_cast<size_t>(rows));
-    PackedSink sink{codes, row0, scratch.plane.data()};
-    encodeRowsInt8(xb, rows, variant, scratch, sink);
-}
-
-void
-LutTableArena::encodePlanarInt8(const float *x, int64_t rows,
-                                uint8_t *planar, int64_t stride,
-                                EncodeScratch &scratch,
-                                EncodeVariant variant) const
-{
-    LUTDLA_CHECK(num_centroids_ <= 256 && rows <= stride,
-                 "planar encode needs c <= 256 and rows <= stride");
-    const float *xb = stageInputs(x, rows, scratch);
-    PlanarSink sink{planar, stride};
-    encodeRowsInt8(xb, rows, variant, scratch, sink);
-}
-
 void
 LutTableArena::addBias(float *yb, int64_t bn) const
 {
     if (!has_bias_)
         return;
     const int64_t n = out_features_;
-    const float *__restrict__ bias = biasPtr();
+    const float *__restrict__ bias = data_.data() + bias_offset_;
     for (int64_t r = 0; r < bn; ++r) {
         float *__restrict__ yr = yb + r * n;
         for (int64_t col = 0; col < n; ++col)
@@ -617,872 +145,16 @@ LutTableArena::addBias(float *yb, int64_t bn) const
     }
 }
 
-template <typename Sweep>
-void
-LutTableArena::sweepPacked(const vq::CodeBuffer &codes, int64_t row0,
-                           int64_t rows, float *y, GatherScratch &scratch,
-                           Sweep &&sweep) const
-{
-    const int64_t n = out_features_;
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        scratch.unpacked.resize(static_cast<size_t>(bn * num_subspaces_));
-        codes.unpackRows(b0, bn, scratch.unpacked.data());
-        float *yb = y + b0 * n;
-        std::fill(yb, yb + bn * n, 0.0f);
-        sweep(scratch.unpacked.data(), bn, yb);
-        addBias(yb, bn);
-    }
-}
-
-template <typename PlanarGather>
-void
-LutTableArena::gatherPackedChunks(const vq::CodeBuffer &codes, int64_t row0,
-                                  int64_t rows, int64_t chunk, float *y,
-                                  GatherScratch &scratch,
-                                  PlanarGather &&planar_gather) const
-{
-    scratch.planar.resize(static_cast<size_t>(num_subspaces_ * chunk));
-    for (int64_t r = row0; r < row0 + rows; r += chunk) {
-        const int64_t m = std::min(chunk, row0 + rows - r);
-        codes.unpackPlanar(r, m, scratch.planar.data(), chunk);
-        planar_gather(m, y + r * out_features_);
-    }
-}
-
-template <typename ChunkKernel, typename Sweep>
-void
-LutTableArena::gatherPlanarChunk(int64_t rows, int64_t chunk, float *y,
-                                 GatherScratch &scratch,
-                                 ChunkKernel &&chunk_kernel,
-                                 Sweep &&sweep) const
-{
-    LUTDLA_CHECK(rows >= 1 && rows <= chunk &&
-                     static_cast<int64_t>(scratch.planar.size()) >=
-                         num_subspaces_ * chunk,
-                 "planar gather needs 1..", chunk,
-                 " rows of [Nc, chunk] code lanes, got ", rows);
-    const int64_t n = out_features_;
-    uint8_t *planar = scratch.planar.data();
-    if (rows >= chunk / 4) {
-        // Row tails still worth a vector pass run PADDED through one
-        // full-width chunk: pad lanes carry code 0 (a valid index),
-        // their columns are computed and simply never copied out —
-        // cheaper than the scalar sweep above ~chunk/4 rows, and
-        // bit-exact because the valid lanes see identical math.
-        if (rows < chunk)
-            for (int64_t s = 0; s < num_subspaces_; ++s)
-                std::fill(planar + s * chunk + rows,
-                          planar + (s + 1) * chunk, uint8_t{0});
-        scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-        chunk_kernel(planar, scratch.colmajor.data());
-        transposeColMajor(scratch.colmajor.data(), chunk, n, rows, y);
-    } else {
-        // Small tail: identical group scales and exact integer
-        // accumulation in the scalar sweep, so the seam between paths
-        // is invisible in the output.
-        scratch.unpacked.resize(static_cast<size_t>(rows * num_subspaces_));
-        int32_t *codes = scratch.unpacked.data();
-        for (int64_t s = 0; s < num_subspaces_; ++s)
-            for (int64_t i = 0; i < rows; ++i)
-                codes[i * num_subspaces_ + s] = planar[s * chunk + i];
-        std::fill(y, y + rows * n, 0.0f);
-        sweep(codes, rows, y);
-    }
-    addBias(y, rows);
-}
-
-void
-LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
-                                GatherScratch &scratch) const
-{
-    gatherAccumulate(codes, 0, codes.rows(), y, scratch);
-}
-
-void
-LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
-                                int64_t rows, float *y,
-                                GatherScratch &scratch) const
-{
-    // Same ascending-subspace accumulation as forwardBatch: packing
-    // round-trips codes exactly, so this phase split stays bit-exact
-    // with the fused reference kernel.
-    checkGatherSpan(codes, num_subspaces_, row0, rows);
-    sweepPacked(codes, row0, rows, y, scratch,
-                [this](const int32_t *c, int64_t bn, float *yb) {
-                    if (bn >= kTileMinRows)
-                        sweepBlockGrouped(c, bn, yb);
-                    else
-                        sweepBlockSimple(c, bn, yb);
-                });
-}
-
-util::SimdLevel
-LutTableArena::int8GatherLevel(Int8GatherVariant &variant) const
-{
-    LUTDLA_CHECK(int8_bank_ != nullptr,
-                 "the INT8 gather requires ensureInt8Bank() first");
-    if (variant == Int8GatherVariant::Auto)
-        variant = int8AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int8GatherVariant::ShuffleVnni)
-        level = util::SimdLevel::Avx512Vnni;
-    else if (variant == Int8GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int8GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int8GatherVariant::Scalar) {
-        LUTDLA_CHECK(!int8_bank_->q_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    }
-    return level;
-}
-
-util::SimdLevel
-LutTableArena::int4GatherLevel(Int4GatherVariant &variant) const
-{
-    LUTDLA_CHECK(int4_bank_ != nullptr,
-                 "the INT4 gather requires ensureInt4Bank() first");
-    if (variant == Int4GatherVariant::Auto)
-        variant = int4AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int4GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int4GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int4GatherVariant::Scalar) {
-        LUTDLA_CHECK(!int4_bank_->q4_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    }
-    return level;
-}
-
-void
-LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes, float *y,
-                                    GatherScratch &scratch,
-                                    Int8GatherVariant variant) const
-{
-    gatherAccumulateInt8(codes, 0, codes.rows(), y, scratch, variant);
-}
-
-void
-LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
-                                    int64_t row0, int64_t rows, float *y,
-                                    GatherScratch &scratch,
-                                    Int8GatherVariant variant) const
-{
-    checkGatherSpan(codes, num_subspaces_, row0, rows);
-    const util::SimdLevel level = int8GatherLevel(variant);
-    const Int8Bank &bank = *int8_bank_;
-    if (variant == Int8GatherVariant::Scalar) {
-        sweepPacked(codes, row0, rows, y, scratch,
-                    [&](const int32_t *c, int64_t bn, float *yb) {
-                        sweepRowsInt8Scalar(bank, c, bn, yb);
-                    });
-        return;
-    }
-    const int64_t chunk = simd::shuffleGatherChunkRows(level);
-    gatherPackedChunks(codes, row0, rows, chunk, y, scratch,
-                       [&](int64_t m, float *ym) {
-                           gatherPlanarInt8(m, ym, scratch, variant);
-                       });
-}
-
-void
-LutTableArena::gatherPlanarInt8(int64_t rows, float *y,
-                                GatherScratch &scratch,
-                                Int8GatherVariant variant) const
-{
-    const util::SimdLevel level = int8GatherLevel(variant);
-    LUTDLA_CHECK(variant != Int8GatherVariant::Scalar,
-                 "gatherPlanarInt8 needs a chunk-kernel variant");
-    const Int8Bank &bank = *int8_bank_;
-    const int64_t n = out_features_;
-    gatherPlanarChunk(
-        rows, simd::shuffleGatherChunkRows(level), y, scratch,
-        [&](const uint8_t *planar, float *colmajor) {
-            if (variant == Int8GatherVariant::ShuffleVnni)
-                simd::vnniGatherChunk(bank.q_quad.data(), bank.scales.data(),
-                                      planar, num_subspaces_, n,
-                                      bank.num_blocks, kInt8ScaleGroup,
-                                      kInt8BlockCols, colmajor);
-            else
-                simd::shuffleGatherChunk(level, bank.q_il.data(),
-                                         bank.scales.data(), planar,
-                                         num_subspaces_, n, bank.num_blocks,
-                                         kInt8ScaleGroup, kInt8BlockCols,
-                                         colmajor);
-        },
-        [&](const int32_t *c, int64_t bn, float *yb) {
-            sweepRowsInt8Scalar(bank, c, bn, yb);
-        });
-}
-
-void
-LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes, float *y,
-                                    GatherScratch &scratch,
-                                    Int4GatherVariant variant) const
-{
-    gatherAccumulateInt4(codes, 0, codes.rows(), y, scratch, variant);
-}
-
-void
-LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
-                                    int64_t row0, int64_t rows, float *y,
-                                    GatherScratch &scratch,
-                                    Int4GatherVariant variant) const
-{
-    // Same chunk/tail structure as the INT8 gather: every seam is
-    // bit-invisible because all paths share the exact biased-nibble
-    // accumulation.
-    checkGatherSpan(codes, num_subspaces_, row0, rows);
-    const util::SimdLevel level = int4GatherLevel(variant);
-    const Int4Bank &bank = *int4_bank_;
-    if (variant == Int4GatherVariant::Scalar) {
-        sweepPacked(codes, row0, rows, y, scratch,
-                    [&](const int32_t *c, int64_t bn, float *yb) {
-                        sweepRowsInt4Scalar(bank, c, bn, yb);
-                    });
-        return;
-    }
-    const int64_t chunk = simd::shuffleGatherChunkRows(level);
-    gatherPackedChunks(codes, row0, rows, chunk, y, scratch,
-                       [&](int64_t m, float *ym) {
-                           gatherPlanarInt4(m, ym, scratch, variant);
-                       });
-}
-
-void
-LutTableArena::gatherPlanarInt4(int64_t rows, float *y,
-                                GatherScratch &scratch,
-                                Int4GatherVariant variant) const
-{
-    const util::SimdLevel level = int4GatherLevel(variant);
-    LUTDLA_CHECK(variant != Int4GatherVariant::Scalar,
-                 "gatherPlanarInt4 needs a chunk-kernel variant");
-    const Int4Bank &bank = *int4_bank_;
-    gatherPlanarChunk(
-        rows, simd::shuffleGatherChunkRows(level), y, scratch,
-        [&](const uint8_t *planar, float *colmajor) {
-            simd::shuffleGatherChunkInt4(
-                level, bank.q4_il.data(), bank.scales.data(), planar,
-                num_subspaces_, out_features_, bank.num_blocks,
-                kInt4ScaleGroup, kInt4BlockCols, colmajor);
-        },
-        [&](const int32_t *c, int64_t bn, float *yb) {
-            sweepRowsInt4Scalar(bank, c, bn, yb);
-        });
-}
-
-void
-LutTableArena::ensureInt8Bank() const
-{
-    std::call_once(int8_once_, [this] {
-        auto bank = std::make_unique<Int8Bank>();
-        const int64_t n = out_features_;
-        const int64_t c = num_centroids_;
-        bank->num_blocks = (n + kInt8BlockCols - 1) / kInt8BlockCols;
-        bank->num_groups =
-            (num_subspaces_ + kInt8ScaleGroup - 1) / kInt8ScaleGroup;
-        bank->q.resize(static_cast<size_t>(num_subspaces_ * c * n));
-        bank->scales.resize(
-            static_cast<size_t>(bank->num_groups * bank->num_blocks));
-        for (int64_t g = 0; g < bank->num_groups; ++g) {
-            const int64_t s0 = g * kInt8ScaleGroup;
-            const int64_t s1 = std::min(num_subspaces_,
-                                        s0 + kInt8ScaleGroup);
-            for (int64_t b = 0; b < bank->num_blocks; ++b) {
-                const int64_t c0 = b * kInt8BlockCols;
-                const int64_t c1 = std::min(n, c0 + kInt8BlockCols);
-                // One symmetric scale covers every centroid entry of the
-                // whole subspace GROUP in this output block: sharing the
-                // scale across the group is what lets both gather paths
-                // accumulate exact integer partial sums before a single
-                // dequantizing mul + add per group.
-                float max_abs = 0.0f;
-                for (int64_t s = s0; s < s1; ++s)
-                    for (int64_t j = 0; j < c; ++j) {
-                        const float *row = entry(s, j);
-                        for (int64_t col = c0; col < c1; ++col)
-                            max_abs =
-                                std::max(max_abs, std::fabs(row[col]));
-                    }
-                const float scale =
-                    max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
-                bank->scales[static_cast<size_t>(g * bank->num_blocks +
-                                                 b)] = scale;
-                for (int64_t s = s0; s < s1; ++s)
-                    for (int64_t j = 0; j < c; ++j) {
-                        const float *row = entry(s, j);
-                        int8_t *qrow = bank->q.data() + (s * c + j) * n;
-                        for (int64_t col = c0; col < c1; ++col) {
-                            const float q =
-                                std::nearbyint(row[col] / scale);
-                            qrow[col] = static_cast<int8_t>(std::max(
-                                -127.0f, std::min(127.0f, q)));
-                        }
-                    }
-            }
-        }
-        // Mirror layouts are built only when the RUNNING CPU can execute
-        // a variant that reads them — INT8 tables dominate this data
-        // plane's memory, so a host that can never run the shuffle
-        // kernels must not pay for their layouts.
-        if (c <= 16 && simd::shuffleGatherSupported(util::simdLevel())) {
-            // Interleaved mirror for the shuffle gather: the 16 centroid
-            // entries of one (subspace, column) pack contiguously (zero
-            // padded past c), so each LUT is one 128-bit register load.
-            bank->q_il.assign(static_cast<size_t>(num_subspaces_ * n * 16),
-                              0);
-            for (int64_t s = 0; s < num_subspaces_; ++s)
-                for (int64_t j = 0; j < c; ++j) {
-                    const int8_t *qrow = bank->q.data() + (s * c + j) * n;
-                    for (int64_t col = 0; col < n; ++col)
-                        bank->q_il[static_cast<size_t>((s * n + col) * 16 +
-                                                       j)] = qrow[col];
-                }
-            // Quad-interleaved mirror for the VNNI gather: four
-            // consecutive subspaces' LUTs share one 64-byte block per
-            // column (zero padded past c and past Nc), so one VPERMB
-            // serves 16 rows x 4 subspaces.
-            if (simd::vnniGatherSupported(util::simdLevel())) {
-                const int64_t quads = (num_subspaces_ + 3) / 4;
-                bank->q_quad.assign(static_cast<size_t>(quads * n * 64),
-                                    0);
-                for (int64_t s = 0; s < num_subspaces_; ++s) {
-                    const int64_t qd = s / 4, j = s % 4;
-                    for (int64_t e = 0; e < c; ++e) {
-                        const int8_t *qrow =
-                            bank->q.data() + (s * c + e) * n;
-                        for (int64_t col = 0; col < n; ++col)
-                            bank->q_quad[static_cast<size_t>(
-                                (qd * n + col) * 64 + 16 * j + e)] =
-                                qrow[col];
-                    }
-                }
-            }
-        }
-        // Resident-accounting invariant int8ResidentBytes() relies on:
-        // each mirror layout is either fully materialized because this
-        // host can run a kernel that reads it, or left empty — so the
-        // unconditional sum over layout sizes counts exactly the
-        // layouts this CPU built, never a phantom third copy.
-        LUTDLA_CHECK(
-            bank->q_il.empty() ==
-                !(c <= 16 &&
-                  simd::shuffleGatherSupported(util::simdLevel())),
-            "q_il must be materialized exactly when the shuffle gather "
-            "can run on this host");
-        LUTDLA_CHECK(
-            bank->q_quad.empty() ==
-                !(c <= 16 &&
-                  simd::vnniGatherSupported(util::simdLevel())),
-            "q_quad must be materialized exactly when the VNNI gather "
-            "can run on this host");
-        int8_bank_ = std::move(bank);
-    });
-}
-
-void
-LutTableArena::ensureInt4Bank() const
-{
-    std::call_once(int4_once_, [this] {
-        auto bank = std::make_unique<Int4Bank>();
-        const int64_t n = out_features_;
-        const int64_t c = num_centroids_;
-        bank->half_n = (n + 1) / 2;
-        bank->num_blocks = (n + kInt4BlockCols - 1) / kInt4BlockCols;
-        bank->num_groups =
-            (num_subspaces_ + kInt4ScaleGroup - 1) / kInt4ScaleGroup;
-        // 0x88 = bias nibble 8 in both planes, the exact packed zero:
-        // odd-N dangling high nibbles and never-indexed pad entries all
-        // decode to 0 by construction.
-        bank->q4.assign(
-            static_cast<size_t>(num_subspaces_ * c * bank->half_n), 0x88);
-        bank->scales.resize(
-            static_cast<size_t>(bank->num_groups * bank->num_blocks));
-        const float max_level = static_cast<float>(kInt4MaxLevel);
-        for (int64_t g = 0; g < bank->num_groups; ++g) {
-            const int64_t s0 = g * kInt4ScaleGroup;
-            const int64_t s1 =
-                std::min(num_subspaces_, s0 + kInt4ScaleGroup);
-            for (int64_t b = 0; b < bank->num_blocks; ++b) {
-                const int64_t c0 = b * kInt4BlockCols;
-                const int64_t c1 = std::min(n, c0 + kInt4BlockCols);
-                // Same shared symmetric scale per (group, block) as the
-                // INT8 bank, over the 15-level nibble range.
-                float max_abs = 0.0f;
-                for (int64_t s = s0; s < s1; ++s)
-                    for (int64_t j = 0; j < c; ++j) {
-                        const float *row = entry(s, j);
-                        for (int64_t col = c0; col < c1; ++col)
-                            max_abs =
-                                std::max(max_abs, std::fabs(row[col]));
-                    }
-                const float scale =
-                    max_abs > 0.0f ? max_abs / max_level : 1.0f;
-                bank->scales[static_cast<size_t>(g * bank->num_blocks +
-                                                 b)] = scale;
-                for (int64_t s = s0; s < s1; ++s)
-                    for (int64_t j = 0; j < c; ++j) {
-                        const float *row = entry(s, j);
-                        uint8_t *qrow = bank->q4.data() +
-                                        (s * c + j) * bank->half_n;
-                        for (int64_t col = c0; col < c1; ++col) {
-                            const float q =
-                                std::nearbyint(row[col] / scale);
-                            const int32_t nib =
-                                static_cast<int32_t>(std::max(
-                                    -max_level,
-                                    std::min(max_level, q))) +
-                                8;
-                            uint8_t &byte = qrow[col >> 1];
-                            if (col & 1)
-                                byte = static_cast<uint8_t>(
-                                    (byte & 0x0F) | (nib << 4));
-                            else
-                                byte = static_cast<uint8_t>(
-                                    (byte & 0xF0) | nib);
-                        }
-                    }
-            }
-        }
-        // Interleaved shuffle mirror, capability-gated like the INT8
-        // mirrors: each (subspace, column pair) packs its 16 centroid
-        // bytes contiguously so one 128-bit load is the whole LUT.
-        if (c <= 16 && simd::shuffleGatherSupported(util::simdLevel())) {
-            bank->q4_il.assign(
-                static_cast<size_t>(num_subspaces_ * bank->half_n * 16),
-                0x88);
-            for (int64_t s = 0; s < num_subspaces_; ++s)
-                for (int64_t j = 0; j < c; ++j) {
-                    const uint8_t *qrow =
-                        bank->q4.data() + (s * c + j) * bank->half_n;
-                    for (int64_t p = 0; p < bank->half_n; ++p)
-                        bank->q4_il[static_cast<size_t>(
-                            (s * bank->half_n + p) * 16 + j)] = qrow[p];
-                }
-        }
-        LUTDLA_CHECK(
-            bank->q4_il.empty() ==
-                !(c <= 16 &&
-                  simd::shuffleGatherSupported(util::simdLevel())),
-            "q4_il must be materialized exactly when the shuffle gather "
-            "can run on this host");
-        int4_bank_ = std::move(bank);
-    });
-}
-
-bool
-LutTableArena::int8BankReady() const
-{
-    return int8_bank_ != nullptr;
-}
-
-int64_t
-LutTableArena::int8TableBytes() const
-{
-    if (!int8_bank_)
-        return 0;
-    return static_cast<int64_t>(int8_bank_->q.size() * sizeof(int8_t) +
-                                int8_bank_->scales.size() * sizeof(float));
-}
-
-int64_t
-LutTableArena::int8ResidentBytes() const
-{
-    if (!int8_bank_)
-        return 0;
-    const Int8Bank &bank = *int8_bank_;
-    return static_cast<int64_t>(
-        (bank.q.size() + bank.q_il.size() + bank.q_quad.size()) *
-            sizeof(int8_t) +
-        bank.scales.size() * sizeof(float));
-}
-
-Int8GatherVariant
-LutTableArena::int8AutoVariant() const
-{
-    if (num_centroids_ > 16)
-        return Int8GatherVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512Vnni)
-        return Int8GatherVariant::ShuffleVnni;
-    if (level >= util::SimdLevel::Avx512)
-        return Int8GatherVariant::ShuffleAvx512;
-    if (level == util::SimdLevel::Avx2)
-        return Int8GatherVariant::ShuffleAvx2;
-    return Int8GatherVariant::Scalar;
-}
-
-const char *
-LutTableArena::int8GatherVariantName(Int8GatherVariant variant)
-{
-    switch (variant) {
-      case Int8GatherVariant::ShuffleVnni:
-        return "shuffle-vnni";
-      case Int8GatherVariant::ShuffleAvx512:
-        return "shuffle-avx512";
-      case Int8GatherVariant::ShuffleAvx2:
-        return "shuffle-avx2";
-      case Int8GatherVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
-}
-
-bool
-LutTableArena::int4BankReady() const
-{
-    return int4_bank_ != nullptr;
-}
-
-int64_t
-LutTableArena::int4TableBytes() const
-{
-    if (!int4_bank_)
-        return 0;
-    return static_cast<int64_t>(int4_bank_->q4.size() * sizeof(uint8_t) +
-                                int4_bank_->scales.size() * sizeof(float));
-}
-
-int64_t
-LutTableArena::int4ResidentBytes() const
-{
-    if (!int4_bank_)
-        return 0;
-    const Int4Bank &bank = *int4_bank_;
-    return static_cast<int64_t>(
-        (bank.q4.size() + bank.q4_il.size()) * sizeof(uint8_t) +
-        bank.scales.size() * sizeof(float));
-}
-
-Int4GatherVariant
-LutTableArena::int4AutoVariant() const
-{
-    if (num_centroids_ > 16)
-        return Int4GatherVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512)
-        return Int4GatherVariant::ShuffleAvx512;
-    if (level == util::SimdLevel::Avx2)
-        return Int4GatherVariant::ShuffleAvx2;
-    return Int4GatherVariant::Scalar;
-}
-
-const char *
-LutTableArena::int4GatherVariantName(Int4GatherVariant variant)
-{
-    switch (variant) {
-      case Int4GatherVariant::ShuffleAvx512:
-        return "shuffle-avx512";
-      case Int4GatherVariant::ShuffleAvx2:
-        return "shuffle-avx2";
-      case Int4GatherVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
-}
-
-void
-LutTableArena::ensureInt8EncodeBank() const
-{
-    std::call_once(int8_encode_once_, [this] {
-        // The integer score norm - 2 * dot is bounded by
-        // v * (127^2 + 2 * 127 * 128); cap v so it can never leave
-        // int32 — every realistic PQ subvector is orders of magnitude
-        // shorter.
-        LUTDLA_CHECK(metric_ == vq::Metric::L2,
-                     "the INT8 encode bank requires the L2 metric");
-        LUTDLA_CHECK(subvector_len_ <= 32768,
-                     "INT8 encode supports subvector lengths up to 32768");
-        auto bank = std::make_unique<Int8EncodeBank>();
-        const int64_t v = subvector_len_, c = num_centroids_;
-        bank->vq4 = (v + 3) / 4;
-        bank->norm_stride = std::max<int64_t>(c, 16);
-        bank->cs.resize(static_cast<size_t>(num_subspaces_ * c * v));
-        bank->norms.assign(
-            static_cast<size_t>(num_subspaces_ * bank->norm_stride),
-            std::numeric_limits<int32_t>::max());
-        bank->lo.resize(static_cast<size_t>(num_subspaces_));
-        bank->inv.resize(static_cast<size_t>(num_subspaces_));
-        for (int64_t s = 0; s < num_subspaces_; ++s) {
-            // One shared 7-bit affine grid per subspace, spanning the
-            // codebook's value range; encode-time inputs are clamped
-            // onto the same grid, so the integer argmin is exactly the
-            // L2 argmin over the quantized values.
-            const float *cbt = codebookT(s);
-            float mn = cbt[0], mx = cbt[0];
-            for (int64_t k = 1; k < c * v; ++k) {
-                mn = std::min(mn, cbt[k]);
-                mx = std::max(mx, cbt[k]);
-            }
-            const float step = mx > mn ? (mx - mn) / 127.0f : 1.0f;
-            bank->lo[static_cast<size_t>(s)] = mn;
-            bank->inv[static_cast<size_t>(s)] = 1.0f / step;
-            for (int64_t j = 0; j < c; ++j) {
-                int8_t *crow = bank->cs.data() + (s * c + j) * v;
-                int32_t norm = 0;
-                for (int64_t t = 0; t < v; ++t) {
-                    const int32_t cu = quantizeEncodeLevel(
-                        cbt[t * c + j], mn,
-                        bank->inv[static_cast<size_t>(s)]);
-                    // c_u - 128 lands in [-128, -1]: signed for the
-                    // VPDPBUSD/VPMADDUBSW operand, and never 0, so the
-                    // quad mirror's zero padding is unambiguous.
-                    crow[t] = static_cast<int8_t>(cu - 128);
-                    norm += cu * cu;
-                }
-                bank->norms[static_cast<size_t>(
-                    s * bank->norm_stride + j)] = norm;
-            }
-        }
-        // Quad-interleaved mirror for the SIMD tiers, capability-gated
-        // like the gather mirrors: byte ((q * 16) + j) * 4 + k holds
-        // c_s[j][4q + k], zero past v and past c.
-        if (c <= 16 && v <= 128 &&
-            simd::int8EncodeSupported(util::simdLevel())) {
-            bank->cs_quad.assign(
-                static_cast<size_t>(num_subspaces_ * bank->vq4 * 64), 0);
-            for (int64_t s = 0; s < num_subspaces_; ++s)
-                for (int64_t j = 0; j < c; ++j) {
-                    const int8_t *crow =
-                        bank->cs.data() + (s * c + j) * v;
-                    for (int64_t t = 0; t < v; ++t)
-                        bank->cs_quad[static_cast<size_t>(
-                            (s * bank->vq4 + t / 4) * 64 + j * 4 +
-                            t % 4)] = crow[t];
-                }
-        }
-        LUTDLA_CHECK(
-            bank->cs_quad.empty() ==
-                !(c <= 16 && v <= 128 &&
-                  simd::int8EncodeSupported(util::simdLevel())),
-            "cs_quad must be materialized exactly when a SIMD encode "
-            "tier can run on this host");
-        int8_encode_bank_ = std::move(bank);
-    });
-}
-
-bool
-LutTableArena::int8EncodeBankReady() const
-{
-    return int8_encode_bank_ != nullptr;
-}
-
-int64_t
-LutTableArena::int8EncodeTableBytes() const
-{
-    if (!int8_encode_bank_)
-        return 0;
-    const Int8EncodeBank &bank = *int8_encode_bank_;
-    return static_cast<int64_t>(
-        bank.cs.size() * sizeof(int8_t) +
-        bank.norms.size() * sizeof(int32_t) +
-        (bank.lo.size() + bank.inv.size()) * sizeof(float));
-}
-
-int64_t
-LutTableArena::int8EncodeResidentBytes() const
-{
-    if (!int8_encode_bank_)
-        return 0;
-    return int8EncodeTableBytes() +
-           static_cast<int64_t>(int8_encode_bank_->cs_quad.size() *
-                                sizeof(int8_t));
-}
-
-bool
-LutTableArena::int8EncodeSupported() const
-{
-    return metric_ == vq::Metric::L2 && subvector_len_ <= 32768;
-}
-
-EncodeVariant
-LutTableArena::int8EncodeAutoVariant() const
-{
-    if (num_centroids_ > 16 || subvector_len_ > 128)
-        return EncodeVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512Vnni)
-        return EncodeVariant::DotVnni;
-    if (level >= util::SimdLevel::Avx2)
-        return EncodeVariant::MaddAvx2;
-    return EncodeVariant::Scalar;
-}
-
-const char *
-LutTableArena::encodeVariantName(EncodeVariant variant)
-{
-    switch (variant) {
-      case EncodeVariant::DotVnni:
-        return "dot-vnni";
-      case EncodeVariant::MaddAvx2:
-        return "madd-avx2";
-      case EncodeVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
-}
-
-const char *
-LutTableArena::int8EncodeKernelName() const
-{
-    switch (int8EncodeAutoVariant()) {
-      case EncodeVariant::DotVnni:
-        return "int8-dot-vnni";
-      case EncodeVariant::MaddAvx2:
-        return "int8-madd-avx2";
-      default:
-        return "int8-scalar";
-    }
-}
-
-const char *
-LutTableArena::encodeVariantName() const
-{
-    const util::SimdLevel level = util::simdLevel();
-    if (metric_ == vq::Metric::L2) {
-        if (num_centroids_ == 16 && simd::encodeL2C16Supported(level))
-            return level >= util::SimdLevel::Avx512 ? "avx512-c16"
-                                                    : "avx2-c16";
-        if (simd::encodeL2GenericSupported(level, num_centroids_))
-            return level >= util::SimdLevel::Avx512 ? "avx512-genc"
-                                                    : "avx2-genc";
-    }
-    return "generic";
-}
-
-void
-LutTableArena::sweepRowsInt8Scalar(const Int8Bank &bank,
-                                   const int32_t *codes, int64_t bn,
-                                   float *yb) const
-{
-    // The scalar half of the INT8 gather contract: per scale group,
-    // accumulate the group's entries in exact int32 arithmetic, then fold
-    // into the float output with ONE mul + add per (group, column) — the
-    // same float op sequence the shuffle kernels emit, which is what
-    // makes every variant bit-identical. This TU builds with -mno-fma so
-    // the mul + add never contracts.
-    sweepInt8ColOuter(bank.q.data(), bank.scales.data(), codes, bn,
-                      out_features_, num_subspaces_, num_centroids_,
-                      bank.num_blocks, bank.num_groups, yb);
-}
-
-void
-LutTableArena::sweepRowsInt4Scalar(const Int4Bank &bank,
-                                   const int32_t *codes, int64_t bn,
-                                   float *yb) const
-{
-    // INT4 half of the same contract: exact biased-nibble accumulation
-    // per scale group, one bias-correcting subtract, one dequantizing
-    // mul + add per (group, column) — the shuffle kernels' float op
-    // sequence, in a -mno-fma TU so it never contracts.
-    sweepInt4ColOuter(bank.q4.data(), bank.scales.data(), codes, bn,
-                      out_features_, bank.half_n, num_subspaces_,
-                      num_centroids_, bank.num_blocks, bank.num_groups,
-                      yb);
-}
-
 void
 LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
 {
-    const int64_t n = out_features_;
-    std::vector<int32_t> codes;
-    EncodeScratch scratch;  // reused across blocks
-
-    for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, rows - b0);
-        const float *xb = stageInputs(x + b0 * in_features_, bn, scratch);
-        codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeRows(xb, bn, codes.data(), scratch);
-
-        float *yb = y + b0 * n;
-        std::fill(yb, yb + bn * n, 0.0f);
-
-        // Every path accumulates each output element's partial sums in
-        // ascending subspace order into a zero-initialized accumulator —
-        // float addition is never reassociated without -ffast-math — so
-        // the result matches the reference row-major path bit for bit.
-        if (bn >= kTileMinRows)
-            sweepBlockGrouped(codes.data(), bn, yb);
-        else
-            sweepBlockSimple(codes.data(), bn, yb);
-
-        addBias(yb, bn);
-    }
-}
-
-void
-LutTableArena::sweepBlockSimple(const int32_t *codes, int64_t bn,
-                                float *yb) const
-{
-    // Row-major reference shape: best for tiny batches, where the output
-    // row lives in L1 and each table entry is one contiguous stream.
-    const int64_t n = out_features_;
-    for (int64_t r = 0; r < bn; ++r) {
-        const int32_t *rcodes = codes + r * num_subspaces_;
-        float *__restrict__ yr = yb + r * n;
-        for (int64_t s = 0; s < num_subspaces_; ++s) {
-            const float *__restrict__ psum = entry(s, rcodes[s]);
-            for (int64_t col = 0; col < n; ++col)
-                yr[col] += psum[col];
-        }
-    }
-}
-
-void
-LutTableArena::sweepBlockGrouped(const int32_t *codes, int64_t bn,
-                                 float *yb) const
-{
-    // Subspace-group-major: kSubspaceGroup table banks stay hot across the
-    // whole row block, and each group folds its partial sums into the
-    // output slab in ONE sweep, dividing y-slab read/write traffic by the
-    // group size. Entry rows are read contiguously (prefetch-friendly
-    // 4*N-byte streams) — column-tiled variants defeat the hardware
-    // prefetcher and measure far slower despite touching fewer bytes.
-    const int64_t n = out_features_;
-    constexpr int64_t G = kSubspaceGroup;
-    for (int64_t s0 = 0; s0 < num_subspaces_; s0 += G) {
-        const int64_t g = std::min<int64_t>(G, num_subspaces_ - s0);
-        for (int64_t r = 0; r < bn; ++r) {
-            const int32_t *rcodes = codes + r * num_subspaces_;
-            float *__restrict__ yr = yb + r * n;
-            if (g == G) {
-                const float *__restrict__ p[G];
-                for (int64_t gi = 0; gi < G; ++gi)
-                    p[gi] = entry(s0 + gi, rcodes[s0 + gi]);
-                for (int64_t col = 0; col < n; ++col) {
-                    float acc = yr[col];
-                    for (int64_t gi = 0; gi < G; ++gi)
-                        acc += p[gi][col];
-                    yr[col] = acc;
-                }
-            } else {
-                for (int64_t gi = 0; gi < g; ++gi) {
-                    const float *__restrict__ psum =
-                        entry(s0 + gi, rcodes[s0 + gi]);
-                    for (int64_t col = 0; col < n; ++col)
-                        yr[col] += psum[col];
-                }
-            }
-        }
-    }
+    vq::CodeBuffer codes;
+    EncodeScratch encode_scratch;
+    GatherScratch gather_scratch;
+    encodeBank(EncodePrecision::Float32)
+        .encodeBatch(x, rows, codes, encode_scratch);
+    tableBank(TablePrecision::Float32)
+        .gather(codes, 0, rows, y, gather_scratch);
 }
 
 Tensor

@@ -5,8 +5,8 @@
  * @file
  * LutTableArena: one frozen LUT layer packed into a single contiguous
  * allocation — per-subspace codebooks, the precomputed PSum table, and the
- * bias, in that order — plus the row-blocked batched inference kernels that
- * run on it.
+ * bias, in that order — plus one lazily built table bank and encode bank
+ * per precision (lutboost/table_bank.h).
  *
  * Rationale: LutLinear's training-time state scatters the tables the
  * inference path needs across several heap objects (one Tensor per codebook
@@ -14,131 +14,36 @@
  * bias parameter). Serving wants the opposite: everything the gather loop
  * touches in one flat arena so a batch of rows sweeps each subspace's table
  * bank while it is hot in L1/L2, instead of chasing per-layer allocations
- * row by row. The arena is immutable after construction, which is what
- * makes the batched kernels safe to call from many threads at once.
+ * row by row. The arena is immutable after construction (the banks are
+ * built once each under std::call_once), which is what makes its kernels
+ * safe to call from many threads at once.
  *
- * Execution model: inference splits into two phases the serving data plane
- * drives separately (see lutboost/kernels.h for the pluggable dispatch):
- *  - encode: argmin-encode rows into centroid codes (BF16 input rounding
- *    applied when the arena demands it), either as the exact float scan
- *    or as the INT8 integer argmin over the quantized encode bank. The
- *    SIMD tiers (lutboost/kernels_simd.h) write one subspace's codes at a
- *    time as a byte plane; `encodePlanar` / `encodePlanarInt8` hand those
- *    planes straight to the shuffle gather's planar code lanes, while
- *    `encodeBatch` / `encodeBlock` (and the INT8 twins) pack them into a
- *    bit-packed vq::CodeBuffer for codes that must cross workers or
- *    feed the scalar sweeps.
- *  - gather: `gatherAccumulate` sweeps the float table bank,
- *    `gatherAccumulateInt8` sweeps the INT8-quantized bank, and
- *    `gatherAccumulateInt4` sweeps the nibble-packed INT4 bank. For
- *    c <= 16 the quantized gathers run as an in-register shuffle lookup
- *    (AVX-512 VPSHUFB over 64-row chunks, AVX2 over 32) against the
- *    bank's interleaved layout; `gatherPlanarInt8` / `gatherPlanarInt4`
- *    run one such chunk from codes already in planar lanes. The INT4
- *    kernels resolve both nibble planes of a column pair per lookup and
- *    sum a whole scale group in uint8 lanes before widening once.
- *    Otherwise (and for small row tails) a scalar group sweep runs. All
- *    paths of one bank share exact integer accumulation under
- *    per-(subspace-group, column-block) scales, so every variant of a
- *    bank is bit-identical by construction.
- * Both phases take explicit [row0, row0 + rows) spans so the serving
- * engine can shard one batch across its worker pool; the whole-buffer
- * overloads are the single-thread convenience.
- * The fused `forwardBatch` composes encode + float gather and is the
- * bit-exact reference everything else is tested against.
+ * The arena owns the geometry and the float source; everything that runs
+ * on it is a bank. tableBank(p) / encodeBank(p) build the bank of one
+ * precision for the running SIMD tier on first use. Tests and benches that
+ * compare tiers build their own banks with makeTableBank / makeEncodeBank.
  *
- * Numerics contract: `forwardBatch` (and the encode + float-gather split)
- * is bit-exact with the reference eval-mode path in LutLinear::forward
- * (encode with the same argminCentroid, accumulate partial sums in
- * ascending subspace order into a zero-initialized output, add the bias
- * last). Tests enforce this.
+ * Numerics contract: `forwardBatch` (the float encode bank + float table
+ * bank) is bit-exact with the reference eval-mode path in
+ * LutLinear::forward (encode with the same argminCentroid, accumulate
+ * partial sums in ascending subspace order into a zero-initialized
+ * output, add the bias last). Tests enforce this.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "lutboost/table_bank.h"
 #include "tensor/tensor.h"
-#include "util/cpu_features.h"
 #include "vq/code_buffer.h"
 #include "vq/distance.h"
 #include "vq/lut.h"
 #include "vq/pq.h"
 
 namespace lutdla::lutboost {
-
-/**
- * Reusable per-caller encode scratch: the BF16-rounded input rows, the
- * zero-padded ragged tail subspace, one subspace's code plane on its way
- * into a packed CodeBuffer, and the scalar scans' per-row buffers.
- * Caller-owned so steady-state batches perform no allocations; one per
- * concurrent caller.
- */
-struct EncodeScratch
-{
-    std::vector<float> staging;  ///< BF16-rounded input rows
-    std::vector<float> padded;   ///< [rows, v] zero-padded tail subspace
-    std::vector<uint8_t> plane;  ///< [rows] one subspace's codes
-    std::vector<float> dist;     ///< [c] float scan distances
-    std::vector<int32_t> xq;     ///< [v] INT8 scan grid levels
-};
-
-/**
- * Reusable per-caller gather scratch: the per-block unpacked codes the
- * scalar sweeps run on, plus the planar code lanes and column-major
- * accumulator plane the shuffle gather uses. Caller-owned so steady-state
- * batches perform no allocations; one per concurrent caller.
- */
-struct GatherScratch
-{
-    std::vector<int32_t> unpacked;  ///< [block rows, Nc] row-major codes
-    std::vector<uint8_t> planar;    ///< [Nc, chunk] planar code lanes
-    std::vector<float> colmajor;    ///< [N, chunk] shuffle accumulators
-};
-
-/**
- * Which INT8 gather kernel to run. Auto picks the best the CPU supports
- * (the serving planner records the resolved choice); the explicit
- * variants exist for benchmarks and the bit-exactness property tests.
- */
-enum class Int8GatherVariant
-{
-    Auto,           ///< best supported (shuffle when c <= 16 and SIMD)
-    Scalar,         ///< portable group sweep (always available)
-    ShuffleAvx2,    ///< 32-row VPSHUFB chunks (requires AVX2)
-    ShuffleAvx512,  ///< 64-row VPSHUFB chunks (requires AVX-512BW)
-    ShuffleVnni     ///< VPERMB + VPDPBUSD dot chunks (AVX-512 VBMI+VNNI)
-};
-
-/**
- * Which INT8 encode kernel to run. Mirrors the gather-variant pattern:
- * Auto picks the best the CPU supports (the serving planner records the
- * resolved choice); the explicit variants exist for benchmarks and the
- * bit-identity property tests. Every variant computes the identical
- * int32 scores, so codes match bit-for-bit across the whole enum.
- */
-enum class EncodeVariant
-{
-    Auto,      ///< best supported (SIMD when c <= 16, v <= 128)
-    Scalar,    ///< portable integer reference (always available)
-    MaddAvx2,  ///< VPMADDUBSW + VPMADDWD dots (AVX2 / plain AVX-512)
-    DotVnni    ///< VPDPBUSD quad dots (requires AVX-512 VNNI)
-};
-
-/**
- * Which INT4 gather kernel to run. Mirrors Int8GatherVariant minus the
- * VNNI tier (VPDPBUSD folds raw bytes, which would mix the two nibble
- * planes; the bit-plane split needs the explicit unpack the shuffle
- * kernels perform).
- */
-enum class Int4GatherVariant
-{
-    Auto,           ///< best supported (shuffle when c <= 16 and SIMD)
-    Scalar,         ///< portable packed group sweep (always available)
-    ShuffleAvx2,    ///< 32-row VPSHUFB + nibble-unpack chunks (AVX2)
-    ShuffleAvx512   ///< 64-row VPSHUFB + nibble-unpack chunks (AVX-512BW)
-};
 
 /** One frozen LUT layer in a single flat allocation. Immutable. */
 class LutTableArena
@@ -181,287 +86,84 @@ class LutTableArena
     /** True when a bias row is packed into the arena. */
     bool hasBias() const { return has_bias_; }
 
-    /** Total arena footprint in bytes (codebooks + table + bias). */
+    /** Total arena footprint in bytes (codebooks + table + bias): the
+     * float source every plan keeps allocated. */
     int64_t sizeBytes() const
     {
         return static_cast<int64_t>(data_.size() * sizeof(float));
     }
 
-    /**
-     * Encode `rows` rows of `x` (each `inFeatures()` wide, already
-     * BF16-rounded when the arena demands it) into `codes` ([rows, Nc],
-     * row-major). Thread-safe with distinct scratch.
-     */
-    void encodeRows(const float *x, int64_t rows, int32_t *codes,
-                    EncodeScratch &scratch) const;
-
-    /**
-     * Encode phase of the split execution model: resize `codes` for
-     * [rows, Nc] at this arena's packed code width and fill it. Unlike
-     * encodeRows, this applies the arena's BF16 input rounding itself,
-     * staging rounded rows in `scratch`. Thread-safe with distinct
-     * scratch.
-     */
-    void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     EncodeScratch &scratch) const;
-
-    /**
-     * Shardable encode span: encode rows [row0, row0 + rows) of the full
-     * batch `x` into an already-reset `codes` buffer. Packed rows are
-     * byte-aligned, so concurrent shards writing disjoint row spans of
-     * one shared CodeBuffer never race. Thread-safe with distinct
-     * `scratch` per shard.
-     */
-    void encodeBlock(const float *x, int64_t row0, int64_t rows,
-                     vq::CodeBuffer &codes, EncodeScratch &scratch) const;
-
-    /**
-     * Encode `rows` rows of `x` straight into planar code lanes: the code
-     * of (row i, subspace s) lands at planar[s * stride + i], one byte
-     * each (rows <= stride; lanes past `rows` are left untouched). This
-     * is the layout gatherPlanarInt8 / gatherPlanarInt4 consume, so a
-     * chunk's codes never pass through a CodeBuffer. Same codes and BF16
-     * handling as encodeBatch; requires c <= 256.
-     */
-    void encodePlanar(const float *x, int64_t rows, uint8_t *planar,
-                      int64_t stride, EncodeScratch &scratch) const;
-
-    /**
-     * INT8 twins of encodeBatch / encodeBlock / encodePlanar:
-     * argmin-encode over the quantized encode bank (requires
-     * ensureInt8EncodeBank() first; panics otherwise). Rows are
-     * quantized onto the bank's per-subspace 7-bit grid and scored in
-     * exact int32 arithmetic, so every variant — scalar or SIMD —
-     * selects bit-identical codes; vs the float encode the codes carry
-     * a top-1 agreement envelope instead (see docs/SERVING.md). BF16
-     * input rounding still applies first, and ragged tail subspaces are
-     * zero-padded exactly like the float path. L2 metric only.
-     * Thread-safe with distinct `scratch` per shard.
-     */
-    void encodeBatchInt8(const float *x, int64_t rows,
-                         vq::CodeBuffer &codes, EncodeScratch &scratch,
-                         EncodeVariant variant = EncodeVariant::Auto) const;
-
-    /** Shardable INT8 encode span; see encodeBlock for the contract. */
-    void encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
-                         vq::CodeBuffer &codes, EncodeScratch &scratch,
-                         EncodeVariant variant = EncodeVariant::Auto) const;
-
-    /** INT8 encode into planar code lanes; see encodePlanar. */
-    void encodePlanarInt8(const float *x, int64_t rows, uint8_t *planar,
-                          int64_t stride, EncodeScratch &scratch,
-                          EncodeVariant variant = EncodeVariant::Auto) const;
-
-    /**
-     * Build the INT8 encode bank (idempotent, thread-safe): per-subspace
-     * affine-quantized transposed codebooks on a shared 7-bit grid,
-     * precomputed integer centroid norms, and — when this CPU can run a
-     * SIMD tier and c <= 16 — the quad-interleaved signed mirror the
-     * VNNI/AVX2 kernels consume. Independent of the gather banks.
-     * Requires the L2 metric (panics otherwise; callers gate on
-     * int8EncodeSupported()).
-     */
-    void ensureInt8EncodeBank() const;
-
-    /** True once ensureInt8EncodeBank() has built the encode bank. */
-    bool int8EncodeBankReady() const;
-
-    /**
-     * Bytes of the canonical INT8 encode bank (scalar codes + norms +
-     * grid) — what the encode phase streams per sweep instead of the
-     * float codebooks; 0 until ensureInt8EncodeBank(). Deliberately
-     * capability-independent so the auto-tuner's byte accounting is
-     * deterministic across hosts.
-     */
-    int64_t int8EncodeTableBytes() const;
-
-    /**
-     * Total RESIDENT bytes of the INT8 encode bank including the
-     * capability-gated quad mirror; 0 until ensureInt8EncodeBank().
-     * Separate from int8ResidentBytes(): the gather banks' accounting is
-     * pinned by tests and must not absorb the encode bank.
-     */
-    int64_t int8EncodeResidentBytes() const;
+    /** Distance metric the encode argmin uses. */
+    vq::Metric metric() const { return metric_; }
 
     /** True when this arena can serve INT8 encode at all (L2 metric). */
     bool int8EncodeSupported() const;
 
     /**
-     * The encode variant Auto resolves to on this arena and CPU (SIMD
-     * needs c <= 16, v <= 128 and at least AVX2). What the serving plan
-     * records.
-     */
-    EncodeVariant int8EncodeAutoVariant() const;
-
-    /** Stable variant tag, e.g. "dot-vnni" / "madd-avx2" / "scalar". */
-    static const char *encodeVariantName(EncodeVariant variant);
-
-    /** Stable kernel tag for plans serving INT8 encode, e.g.
-     * "int8-dot-vnni"; the INT8 twin of encodeVariantName(). */
-    const char *int8EncodeKernelName() const;
-
-    /**
-     * Gather phase over the bit-exact float bank:
-     * y[rows, N] = gather(codes) + bias. Identical numerics to
-     * forwardBatch. Thread-safe with distinct scratch.
-     */
-    void gatherAccumulate(const vq::CodeBuffer &codes, float *y,
-                          GatherScratch &scratch) const;
-
-    /**
-     * Shardable float gather span: fill output rows [row0, row0 + rows)
-     * of `y` (the FULL [codes.rows(), N] output base) from the same rows
-     * of `codes`. Disjoint spans never race.
-     */
-    void gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
-                          int64_t rows, float *y,
-                          GatherScratch &scratch) const;
-
-    /**
-     * Gather phase over the INT8 bank (requires ensureInt8Bank() first;
-     * panics otherwise). Accumulation is exact integer arithmetic per
-     * scale group (kInt8ScaleGroup subspaces share one scale per
-     * kInt8BlockCols-wide output block), dequantized with one mul + add
-     * per group — so every variant, shuffle or scalar, produces
-     * bit-identical output. NOT bit-exact vs the float bank; see
-     * docs/SERVING.md for the error envelope.
-     */
-    void gatherAccumulateInt8(
-        const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
-
-    /** Shardable INT8 gather span; see the float span overload. */
-    void gatherAccumulateInt8(
-        const vq::CodeBuffer &codes, int64_t row0, int64_t rows, float *y,
-        GatherScratch &scratch,
-        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
-
-    /**
-     * INT8 gather of one chunk whose codes already sit in
-     * scratch.planar ([Nc, chunk] lanes, chunk = the variant's
-     * shuffleGatherChunkRows, as encodePlanar writes them): fills output
-     * rows [0, rows) of `y` ([rows, N], bias included), rows <= chunk.
-     * Lanes past `rows` are reset to code 0 and run through the chunk
-     * kernel uncopied; below chunk / 4 rows the scalar group sweep runs
-     * instead. `variant` must resolve to a chunk kernel, not Scalar.
-     */
-    void gatherPlanarInt8(
-        int64_t rows, float *y, GatherScratch &scratch,
-        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
-
-    /**
-     * Build the INT8-quantized table bank (idempotent, thread-safe). The
+     * The table bank of `precision`, built for the running SIMD tier on
+     * first use (once, thread-safe) and kept for the arena's lifetime. The
      * planner calls this at lowering time so serving never pays the
-     * quantization cost; the bank is cached for the arena's lifetime.
+     * build.
      */
-    void ensureInt8Bank() const;
+    const TableBank &tableBank(TablePrecision precision) const;
 
-    /** True once ensureInt8Bank() has built the quantized bank. */
-    bool int8BankReady() const;
+    /** The encode bank of `precision`, built like tableBank(). Int8
+     * requires int8EncodeSupported(). */
+    const EncodeBank &encodeBank(EncodePrecision precision) const;
+
+    /** True once tableBank(`precision`) has been built. Banks build
+     * lazily and independently, so a plan pays the memory of exactly
+     * the banks it reads. */
+    bool tableBankBuilt(TablePrecision precision) const;
+
+    /** True once encodeBank(`precision`) has been built. */
+    bool encodeBankBuilt(EncodePrecision precision) const;
+
+    // ---- Raw views of the float source, for the banks -----------------
 
     /**
-     * Bytes of the canonical INT8 bank (row-major table + scales) — the
-     * traffic number plans and benches report; 0 until ensureInt8Bank().
-     * At the flagship c=16 every mirror layout is the same size, so this
-     * is exactly what any variant streams per sweep; at c < 16 the
-     * 16-entry-padded shuffle layouts stream up to 16/c x more (still
-     * well under the float bank). Resident memory spans every layout
-     * built for this CPU — see int8ResidentBytes().
+     * Codebook of subspace `s`, stored TRANSPOSED as [v, c] so the encode
+     * kernel's inner loop runs contiguously over centroids (SIMD-friendly)
+     * instead of strided over subvector elements.
      */
-    int64_t int8TableBytes() const;
+    const float *
+    codebookT(int64_t s) const
+    {
+        return data_.data() + s * num_centroids_ * subvector_len_;
+    }
+
+    /** PSum table row of (subspace s, centroid j): N floats. */
+    const float *
+    entry(int64_t s, int64_t j) const
+    {
+        return data_.data() + table_offset_ +
+               (s * num_centroids_ + j) * out_features_;
+    }
+
+    /** Add the packed bias row to `bn` output rows (no-op without bias). */
+    void addBias(float *yb, int64_t bn) const;
+
+    /** BF16-round rows [0, rows) of `x` into scratch.staging when the
+     * arena demands it; returns the rows the encode kernels read. */
+    const float *stageInputs(const float *x, int64_t rows,
+                             EncodeScratch &scratch) const;
 
     /**
-     * Total RESIDENT bytes of the INT8 bank: the row-major table plus
-     * whichever mirror layouts were built for this CPU's kernel variants
-     * (mirrors are capability-gated at build time, so a host that cannot
-     * run a variant never pays for its layout; a VNNI host carries up to
-     * 3x the streamed size). 0 until ensureInt8Bank().
+     * Rows of subspace `s` as the encode kernels read them: in place
+     * (stride K) for a full subspace, or — for the ragged tail of
+     * K % v != 0 — zero-padded into scratch.padded ([rows, v], stride v),
+     * exactly like ProductQuantizer::extractSubvector.
      */
-    int64_t int8ResidentBytes() const;
+    const float *subspaceRows(const float *x, int64_t rows, int64_t s,
+                              EncodeScratch &scratch,
+                              int64_t &stride) const;
 
     /**
-     * The INT8 gather variant Auto resolves to on this arena and CPU
-     * (shuffle needs c <= 16 and at least AVX2). What the serving plan
-     * records.
-     */
-    Int8GatherVariant int8AutoVariant() const;
-
-    /** Stable variant tag, e.g. "shuffle-avx512" / "scalar". */
-    static const char *int8GatherVariantName(Int8GatherVariant variant);
-
-    /**
-     * Gather phase over the INT4 bank (requires ensureInt4Bank() first;
-     * panics otherwise). Entries are symmetric 4-bit codes under the same
-     * per-(kInt4ScaleGroup subspaces, kInt4BlockCols columns) scale
-     * geometry as the INT8 bank, packed two adjacent output columns per
-     * byte. Accumulation is exact integer arithmetic over bias-shifted
-     * nibbles with one bias-correcting subtract and one dequantizing
-     * mul + add per (group, column), so every variant — shuffle or scalar
-     * — produces bit-identical output. NOT bit-exact vs the float or
-     * INT8 banks; see docs/SERVING.md for the error envelope.
-     */
-    void gatherAccumulateInt4(
-        const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
-
-    /** Shardable INT4 gather span; see the float span overload. */
-    void gatherAccumulateInt4(
-        const vq::CodeBuffer &codes, int64_t row0, int64_t rows, float *y,
-        GatherScratch &scratch,
-        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
-
-    /** INT4 gather of one planar chunk; see gatherPlanarInt8. */
-    void gatherPlanarInt4(
-        int64_t rows, float *y, GatherScratch &scratch,
-        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
-
-    /**
-     * Build the INT4-quantized table bank (idempotent, thread-safe).
-     * Independent of the INT8 bank — a plan that only serves INT4 never
-     * materializes INT8 layouts.
-     */
-    void ensureInt4Bank() const;
-
-    /** True once ensureInt4Bank() has built the packed bank. */
-    bool int4BankReady() const;
-
-    /**
-     * Bytes of the canonical packed INT4 bank (row-major nibble pairs +
-     * scales) — what plans and benches report; 0 until ensureInt4Bank().
-     */
-    int64_t int4TableBytes() const;
-
-    /**
-     * Total RESIDENT bytes of the INT4 bank: the packed row-major table
-     * plus the interleaved shuffle mirror when this CPU built it
-     * (capability-gated exactly like the INT8 mirrors). 0 until
-     * ensureInt4Bank().
-     */
-    int64_t int4ResidentBytes() const;
-
-    /**
-     * The INT4 gather variant Auto resolves to on this arena and CPU
-     * (shuffle needs c <= 16 and at least AVX2). What the serving plan
-     * records.
-     */
-    Int4GatherVariant int4AutoVariant() const;
-
-    /** Stable variant tag, e.g. "shuffle-avx512" / "scalar". */
-    static const char *int4GatherVariantName(Int4GatherVariant variant);
-
-    /** Stable tag of the FLOAT encode kernel this arena dispatches to:
-     * "avx512-c16"/"avx2-c16" for the SIMD L2/c=16 fast path,
-     * "avx512-genc"/"avx2-genc" for the masked generic-c (c <= 64) tier,
-     * else "generic" (scalar scan). */
-    const char *encodeVariantName() const;
-
-    /**
-     * Batched lookup-accumulate: y[rows, N] = gather(x) + bias.
-     *
-     * Rows are processed in blocks (kRowBlock) and, within a block, the
-     * accumulation walks subspace-major so one codebook's table bank stays
-     * cache-resident across the whole block. Thread-safe; `x` and `y` must
-     * not alias.
+     * Batched lookup-accumulate: y[rows, N] = gather(x) + bias, through
+     * the float encode bank and the float table bank. The gather runs in
+     * kRowBlock-row blocks and, within a block, walks subspace-major so
+     * one codebook's table rows stay cache-resident across the whole
+     * block. Thread-safe; `x` and `y` must not alias.
      */
     void forwardBatch(const float *x, int64_t rows, float *y) const;
 
@@ -495,6 +197,10 @@ class LutTableArena
      */
     static constexpr int64_t kInt8ScaleGroup = 16;
 
+    /** Symmetric INT8 range: entries clamp to [-127, 127] (scale =
+     * max_abs / 127). */
+    static constexpr int64_t kInt8MaxLevel = 127;
+
     /**
      * Output columns sharing one INT4 scale. Same geometry as the INT8
      * bank — kept even so a packed column pair never straddles a scale
@@ -520,172 +226,6 @@ class LutTableArena
     static constexpr int64_t kInt4MaxLevel = 7;
 
   private:
-    /**
-     * INT8 mirror of the PSum table in two layouts: `q` row-major
-     * [Nc, c, N] for the scalar group sweep, and (c <= 16 only) `q_il`
-     * interleaved [Nc, N, 16] — the 16 centroid entries of one
-     * (subspace, column) packed contiguously so the shuffle gather loads
-     * each LUT as one vector register. One symmetric scale per
-     * (kInt8ScaleGroup-subspace group, kInt8BlockCols-wide output block).
-     */
-    struct Int8Bank
-    {
-        std::vector<int8_t> q;      ///< [Nc, c, N] row-major entries
-        std::vector<int8_t> q_il;   ///< [Nc, N, 16] interleaved (c <= 16)
-        /** [ceil(Nc/4), N, 64] quad-interleaved (c <= 16): one 64-byte
-         * LUT per (subspace quad, column) for the VNNI gather. */
-        std::vector<int8_t> q_quad;
-        std::vector<float> scales;  ///< [numGroups, num_blocks] scales
-        int64_t num_blocks = 0;
-        int64_t num_groups = 0;
-    };
-
-    /**
-     * INT4 mirror of the PSum table, packed two adjacent output columns
-     * per byte (column-pair bit-plane split: low nibble = even column,
-     * high nibble = odd column, both bias-shifted by +8). Codes are per
-     * (row, subspace) and identical across columns, so one looked-up
-     * byte serves BOTH columns of a pair — the shuffle kernels split
-     * the two nibble planes in-register after each lookup. `q4`
-     * row-major [Nc, c, ceil(N/2)] for the scalar sweep; `q4_il`
-     * interleaved [Nc, ceil(N/2), 16] (c <= 16 only) so each
-     * (subspace, column pair) is one vector-register LUT. Odd N leaves
-     * the last pair's high nibble at the bias value 8 (exact zero):
-     * computed, never copied out. Scale geometry matches the INT8 bank.
-     */
-    struct Int4Bank
-    {
-        std::vector<uint8_t> q4;    ///< [Nc, c, ceil(N/2)] packed pairs
-        std::vector<uint8_t> q4_il; ///< [Nc, ceil(N/2), 16] interleaved
-        std::vector<float> scales;  ///< [numGroups, num_blocks] scales
-        int64_t num_blocks = 0;
-        int64_t num_groups = 0;
-        int64_t half_n = 0;         ///< ceil(N/2) packed column pairs
-    };
-
-    /**
-     * INT8 encode bank: the quantized twin of the transposed codebooks.
-     * One shared 7-bit affine grid per subspace (lo + inverse step)
-     * quantizes BOTH the stored centroids and, at encode time, the input
-     * subvectors, which is what collapses argmin ||x - c||^2 to the
-     * integer argmin over (||c_u||^2 - 2 * x_u . c_s) with c_s = c_u -
-     * 128 (the shift makes centroids signed for VPDPBUSD/VPMADDUBSW; the
-     * dropped ||x_u||^2 and -256 * sum(x_u) terms are centroid-
-     * independent). `cs` row-major [Nc, c, v] for the scalar reference;
-     * `cs_quad` quad-interleaved [Nc, ceil(v/4), 16, 4] (byte
-     * ((s-local quad * 16) + j) * 4 + k = c_s[j][4q + k], zero past v
-     * and past c) for the SIMD tiers, built only when c <= 16, v <= 128
-     * and the CPU has a tier. `norms` [Nc, norm_stride] int32 centroid
-     * norms with INT32_MAX pads so pad lanes never win the argmin.
-     */
-    struct Int8EncodeBank
-    {
-        std::vector<int8_t> cs;       ///< [Nc, c, v] shifted codes
-        std::vector<int8_t> cs_quad;  ///< [Nc, vq4 * 64] quad mirror
-        std::vector<int32_t> norms;   ///< [Nc, norm_stride] ||c_u||^2
-        std::vector<float> lo;        ///< [Nc] grid offsets
-        std::vector<float> inv;       ///< [Nc] inverse grid steps
-        int64_t vq4 = 0;              ///< ceil(v / 4) dim quads
-        int64_t norm_stride = 0;      ///< max(c, 16)
-    };
-
-    /**
-     * Rows of subspace `s` as the encode kernels read them: in place
-     * (stride K) for a full subspace, or — for the ragged tail of
-     * K % v != 0 — zero-padded into scratch.padded ([rows, v], stride v),
-     * exactly like ProductQuantizer::extractSubvector.
-     */
-    const float *subspaceRows(const float *x, int64_t rows, int64_t s,
-                              EncodeScratch &scratch,
-                              int64_t &stride) const;
-
-    template <vq::Metric M, typename Sink>
-    void encodeRowsImpl(const float *x, int64_t rows,
-                        EncodeScratch &scratch, Sink &sink) const;
-
-    template <typename Sink>
-    void encodeDispatch(const float *x, int64_t rows,
-                        EncodeScratch &scratch, Sink &sink) const;
-
-    /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference or SIMD kernel per `variant`. Shared by every
-     * INT8 encode entry point. */
-    template <typename Sink>
-    void encodeRowsInt8(const float *x, int64_t rows, EncodeVariant variant,
-                        EncodeScratch &scratch, Sink &sink) const;
-
-    /** BF16-round rows [0, rows) of `x` into scratch.staging when the
-     * arena demands it; returns the rows the encode kernels read. */
-    const float *stageInputs(const float *x, int64_t rows,
-                             EncodeScratch &scratch) const;
-
-    /** Resolve Auto and validate a quantized gather variant for this
-     * arena and CPU; returns the SIMD level its chunk kernel runs at
-     * (Generic for Scalar). */
-    util::SimdLevel int8GatherLevel(Int8GatherVariant &variant) const;
-    util::SimdLevel int4GatherLevel(Int4GatherVariant &variant) const;
-
-    /** Block-wise scalar sweep over packed codes: unpack each kRowBlock
-     * block row-major, zero it, run `sweep`, add the bias. */
-    template <typename Sweep>
-    void sweepPacked(const vq::CodeBuffer &codes, int64_t row0,
-                     int64_t rows, float *y, GatherScratch &scratch,
-                     Sweep &&sweep) const;
-
-    /** Chunk loop of the CodeBuffer quantized gathers: unpack each
-     * `chunk`-row span of [row0, row0 + rows) into scratch.planar and
-     * call `planar_gather(m, y_rows)` on it. */
-    template <typename PlanarGather>
-    void gatherPackedChunks(const vq::CodeBuffer &codes, int64_t row0,
-                            int64_t rows, int64_t chunk, float *y,
-                            GatherScratch &scratch,
-                            PlanarGather &&planar_gather) const;
-
-    /** Shared body of gatherPlanarInt8/Int4: run `chunk_kernel` over the
-     * planar lanes (pad lanes reset to code 0) and transpose the valid
-     * rows out, or `sweep` below chunk / 4 rows; then add the bias. */
-    template <typename ChunkKernel, typename Sweep>
-    void gatherPlanarChunk(int64_t rows, int64_t chunk, float *y,
-                           GatherScratch &scratch,
-                           ChunkKernel &&chunk_kernel, Sweep &&sweep) const;
-
-    /** Row-major accumulate: optimal for tiny batches. */
-    void sweepBlockSimple(const int32_t *codes, int64_t bn, float *yb) const;
-
-    /** Grouped-subspace accumulate: optimal for real batches. */
-    void sweepBlockGrouped(const int32_t *codes, int64_t bn,
-                           float *yb) const;
-
-    /** Scalar INT8 group sweep (exact integer accumulation per group). */
-    void sweepRowsInt8Scalar(const Int8Bank &bank, const int32_t *codes,
-                             int64_t bn, float *yb) const;
-
-    /** Scalar INT4 packed group sweep (exact biased-nibble accumulation
-     * per group; bit-identical to the shuffle variants). */
-    void sweepRowsInt4Scalar(const Int4Bank &bank, const int32_t *codes,
-                             int64_t bn, float *yb) const;
-
-    /** Add the packed bias row to `bn` output rows (no-op without bias). */
-    void addBias(float *yb, int64_t bn) const;
-
-    /**
-     * Codebook of subspace `s`, stored TRANSPOSED as [v, c] so the encode
-     * kernel's inner loop runs contiguously over centroids (SIMD-friendly)
-     * instead of strided over subvector elements.
-     */
-    const float *
-    codebookT(int64_t s) const
-    {
-        return data_.data() + s * num_centroids_ * subvector_len_;
-    }
-    const float *
-    entry(int64_t s, int64_t j) const
-    {
-        return data_.data() + table_offset_ +
-               (s * num_centroids_ + j) * out_features_;
-    }
-    const float *biasPtr() const { return data_.data() + bias_offset_; }
-
     int64_t in_features_;
     int64_t out_features_;
     int64_t subvector_len_;
@@ -698,16 +238,16 @@ class LutTableArena
     size_t bias_offset_;
     std::vector<float> data_;  ///< [codebooks | psum table | bias]
 
-    // Lazily-built quantized mirrors of the table: logically-immutable
-    // caches, each built at most once under its flag (planner triggers
-    // them eagerly). Independent — a plan serving only one precision
-    // never materializes the other bank.
-    mutable std::once_flag int8_once_;
-    mutable std::unique_ptr<Int8Bank> int8_bank_;
-    mutable std::once_flag int4_once_;
-    mutable std::unique_ptr<Int4Bank> int4_bank_;
-    mutable std::once_flag int8_encode_once_;
-    mutable std::unique_ptr<Int8EncodeBank> int8_encode_bank_;
+    // One lazily built bank per precision: logically-immutable caches,
+    // each built at most once under its flag (the planner triggers them
+    // eagerly). Independent — a plan serving only one precision never
+    // materializes another bank.
+    mutable std::once_flag table_once_[3];
+    mutable std::unique_ptr<TableBank> table_banks_[3];
+    mutable std::atomic<bool> table_built_[3] = {};
+    mutable std::once_flag encode_once_[2];
+    mutable std::unique_ptr<EncodeBank> encode_banks_[2];
+    mutable std::atomic<bool> encode_built_[2] = {};
 };
 
 } // namespace lutdla::lutboost

@@ -38,7 +38,7 @@
  * search. The tuner is deterministic: seeded probe rows, stable sort
  * with index tie-breaks, no wall-clock or host dependence beyond the
  * kernel dispatch (which cannot change the measured top-1 labels
- * because every variant of a bank is bit-identical).
+ * because every tier of a bank is bit-identical).
  *
  * Surfaced through api::ServeOptions::autoTunePrecision(budget); the
  * chosen assignment lands in PlanOptions::stage_precision +

@@ -173,9 +173,11 @@ class FrozenModel
      * the joint (table, encode) auto-tuner descends on. */
     int64_t encodeBytes() const;
 
-    /** Total bytes RESIDENT for the planned tables across stages: the
-     * gather streams plus any CPU-gated mirror layouts (interleaved
-     * shuffle banks, VNNI quads) the bound backends keep. */
+    /** Total bytes RESIDENT for the planned tables across stages: each
+     * LUT stage's float arena (codebooks, PSum table, bias — every plan
+     * keeps it) plus exactly what the (table bank, encode bank) pairs
+     * this plan binds allocated on the running tier. Plans that share
+     * arenas (withPlan) each count the shared float arena once. */
     int64_t residentBytes() const;
 
     /** Stage list (read-only). */

@@ -10,34 +10,7 @@
 
 namespace lutdla::serve {
 
-const char *
-tablePrecisionName(TablePrecision precision)
-{
-    switch (precision) {
-      case TablePrecision::Int8:
-        return "int8";
-      case TablePrecision::Int4:
-        return "int4";
-      default:
-        return "float32";
-    }
-}
-
 namespace {
-
-/** Backend singleton implementing one table precision. */
-const lutboost::KernelBackend *
-backendFor(TablePrecision precision)
-{
-    switch (precision) {
-      case TablePrecision::Int8:
-        return &lutboost::quantizedBackend();
-      case TablePrecision::Int4:
-        return &lutboost::int4Backend();
-      default:
-        return &lutboost::referenceBackend();
-    }
-}
 
 /** Precision of the `lut_index`-th LUT stage in chain order: explicit
  * per-stage binding when present, else the global default. */
@@ -94,35 +67,23 @@ resolveShardRows(const PlanOptions &options)
 }
 
 StagePlan
-lutPlan(const FrozenStage &stage, const lutboost::LutTableArena &arena,
-        std::vector<std::string> fused, TablePrecision precision,
-        EncodePrecision encode, int64_t shard_rows)
+lutPlan(const FrozenStage &stage, const LutBinding &binding,
+        std::vector<std::string> fused, int64_t shard_rows)
 {
+    // Kernels and code width shown for the first arena (attention's four
+    // projections share shape and dispatch); the byte counts cover all.
+    const lutboost::BankPair &banks = binding.banks();
     StagePlan plan;
     plan.kind = stage.kind();
     plan.description = stage.description();
     plan.fused = std::move(fused);
-    plan.code_bits = vq::codeBitsFor(arena.numCentroids());
-    plan.precision = precision;
-    plan.encode_precision = encode;
+    plan.code_bits = vq::codeBitsFor(banks.table->arena().numCentroids());
+    plan.precision = binding.backend().precision();
+    plan.encode_precision = binding.encode();
     plan.table_bytes = stage.tableBytes();
     plan.encode_bytes = stage.encodeBytes();
-    plan.encode_kernel = encode == EncodePrecision::Int8
-                             ? arena.int8EncodeKernelName()
-                             : arena.encodeVariantName();
-    switch (precision) {
-      case TablePrecision::Int8:
-        plan.gather_kernel = lutboost::LutTableArena::int8GatherVariantName(
-            arena.int8AutoVariant());
-        break;
-      case TablePrecision::Int4:
-        plan.gather_kernel = lutboost::LutTableArena::int4GatherVariantName(
-            arena.int4AutoVariant());
-        break;
-      default:
-        plan.gather_kernel = "grouped-sweep";
-        break;
-    }
+    plan.encode_kernel = banks.encode->kernelName();
+    plan.gather_kernel = banks.table->kernelName();
     plan.shard_rows = shard_rows;
     return plan;
 }
@@ -278,13 +239,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
                 const size_t li = lut_index++;
                 const TablePrecision prec = stagePrecisionAt(options, li);
                 auto planned = std::make_shared<ArenaStage>(
-                    next->arena(), backendFor(prec), std::move(epilogue),
+                    next->arena(), prec, std::move(epilogue),
                     stage->inWidth(), shard_rows,
                     stageEncodePrecisionAt(options, li));
-                plan.push_back(lutPlan(*planned, *planned->arena(),
-                                       std::move(fused), prec,
-                                       planned->encodePrecision(),
-                                       shard_rows));
+                plan.push_back(lutPlan(*planned, planned->binding(),
+                                       std::move(fused), shard_rows));
                 out.push_back(std::move(planned));
                 i = j;
                 continue;
@@ -302,13 +261,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
             const size_t li = lut_index++;
             const TablePrecision prec = stagePrecisionAt(options, li);
             auto planned = std::make_shared<ArenaStage>(
-                arena->arena(), backendFor(prec), std::move(epilogue),
+                arena->arena(), prec, std::move(epilogue),
                 arena->adaptInWidth(), shard_rows,
                 stageEncodePrecisionAt(options, li));
-            plan.push_back(lutPlan(*planned, *planned->arena(),
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(),
-                                   shard_rows));
+            plan.push_back(lutPlan(*planned, planned->binding(),
+                                   std::move(fused), shard_rows));
             out.push_back(std::move(planned));
             i = j;
             continue;
@@ -326,15 +283,10 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
             const TablePrecision prec = stagePrecisionAt(options, li);
             auto planned = std::make_shared<AttentionStage>(
                 attn->arenas(), attn->seqLen(), attn->heads(),
-                backendFor(prec), std::move(epilogue), shard_rows,
+                prec, std::move(epilogue), shard_rows,
                 stageEncodePrecisionAt(options, li));
-            // Plan kernels/code width shown for the Q projection arena
-            // (all four projections share shape and dispatch);
-            // table_bytes covers all four.
-            plan.push_back(lutPlan(*planned, *planned->arenas().q,
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(),
-                                   shard_rows));
+            plan.push_back(lutPlan(*planned, planned->binding(),
+                                   std::move(fused), shard_rows));
             out.push_back(std::move(planned));
             i = j;
             continue;
@@ -352,13 +304,12 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
             const TablePrecision prec = stagePrecisionAt(options, li);
             auto planned = std::make_shared<ConvStage>(
                 conv->geometry(), conv->height(), conv->width(),
-                conv->arena(), backendFor(prec), std::move(epilogue),
+                conv->arena(), prec, std::move(epilogue),
                 stageEncodePrecisionAt(options, li));
             // Conv stages stay unsharded (the im2col plane is shared);
             // their shard_rows records 0 so the summary says so.
-            plan.push_back(lutPlan(*planned, *planned->arena(),
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(), 0));
+            plan.push_back(
+                lutPlan(*planned, planned->binding(), std::move(fused), 0));
             out.push_back(std::move(planned));
             i = j;
             continue;

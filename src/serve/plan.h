@@ -8,11 +8,12 @@
  * the chain the data plane actually executes —
  *
  *  - precision selection: every LUT stage (ArenaStage / ConvStage /
- *    AttentionStage) is bound to a lutboost::KernelBackend (bit-exact
- *    float32 reference, packed-code + INT8-table, or nibble-packed
- *    INT4-table) — globally via PlanOptions::table_precision or
- *    heterogeneously via PlanOptions::stage_precision — and each bound
- *    quantized bank is built eagerly so serving never pays the cost;
+ *    AttentionStage) is bound to one (table bank, encode bank) pair per
+ *    arena (bit-exact float32, INT8 or nibble-packed INT4 tables; float
+ *    or INT8 encode) — globally via PlanOptions::table_precision /
+ *    encode_precision or per stage via stage_precision /
+ *    stage_encode_precision — and each bound bank is built eagerly so
+ *    serving never pays the cost;
  *  - epilogue fusion: pointwise activation stages directly following a
  *    LUT stage fold into that stage's arena-sweep epilogue (the same
  *    float ops run while the output slab is cache-hot, so the fused chain
@@ -40,16 +41,15 @@
 
 namespace lutdla::serve {
 
-/** Gather-phase table precision the planner binds LUT stages to. */
-enum class TablePrecision
-{
-    Float32,  ///< bit-exact float bank (reference backend)
-    Int8,     ///< INT8 bank with per-(subspace, block) scales
-    Int4      ///< nibble-packed INT4 bank, two columns per byte
-};
+/**
+ * Gather-phase table precision, re-exported from lutboost: which table
+ * bank (float32 / int8 / int4) a LUT stage reads. The planner binds one
+ * per LUT stage, globally or per stage.
+ */
+using TablePrecision = lutboost::TablePrecision;
 
 /** Stable name for a table precision ("float32" / "int8" / "int4"). */
-const char *tablePrecisionName(TablePrecision precision);
+using lutboost::tablePrecisionName;
 
 /**
  * Encode-phase argmin precision, re-exported from lutboost: Float32 is
@@ -112,7 +112,7 @@ struct PlanOptions
      * measures against); > 0 = force this many rows per tile. Any value
      * is bit-exact with any other — the tile size only moves throughput,
      * because tileable stages are row-independent and every gather
-     * variant of a bank is bit-identical across row groupings.
+     * tier of a table bank is bit-identical across row groupings.
      */
     int64_t tile_rows = 0;
     /**
@@ -143,9 +143,9 @@ struct StagePlan
      * "int8-dot-vnni" / "int8-madd-avx2" / "int8-scalar" under Int8
      * encode); empty for non-LUT stages. */
     std::string encode_kernel;
-    /** Gather kernel ("grouped-sweep" float bank; "shuffle-avx512" /
-     * "shuffle-avx2" / "scalar" for the INT8 and INT4 banks); empty for
-     * non-LUT stages. */
+    /** Gather kernel ("grouped-sweep" float bank; "shuffle-vnni" /
+     * "shuffle-avx512" / "shuffle-avx2" / "scalar" for the INT8 and INT4
+     * banks); empty for non-LUT stages. */
     std::string gather_kernel;
     /** Intra-batch shard granularity bound at plan time (0 = unsharded,
      * e.g. conv stages). */

@@ -24,51 +24,6 @@ nanosSince(Clock::time_point start)
             .count());
 }
 
-/** "+relu+gelu"-style suffix for fused epilogues. */
-std::string
-epilogueSuffix(const std::vector<PointwiseOp> &ops)
-{
-    std::string out;
-    for (PointwiseOp op : ops)
-        out += op == PointwiseOp::Relu ? "+relu" : "+gelu";
-    return out;
-}
-
-/** Resolve a requested encode precision against the arena's capability
- * (Int8 needs the L2-metric quantized encode bank), mirroring the
- * planner's per-stage resolution. Int8 eagerly builds the bank so the
- * first serving batch never pays the lazy cost. */
-lutboost::EncodePrecision
-resolveEncode(const lutboost::LutTableArena &arena,
-              lutboost::EncodePrecision encode)
-{
-    if (encode != lutboost::EncodePrecision::Int8 ||
-        !arena.int8EncodeSupported())
-        return lutboost::EncodePrecision::Float32;
-    arena.ensureInt8EncodeBank();
-    return lutboost::EncodePrecision::Int8;
-}
-
-/** "[enc:int8]" decoration for describe(); empty under Float32 so the
- * default plan's strings stay exactly as tests pin them. */
-std::string
-encodeSuffix(lutboost::EncodePrecision encode)
-{
-    return encode == lutboost::EncodePrecision::Int8 ? "[enc:int8]" : "";
-}
-
-/** Bytes one full sweep of the stage's encode phase streams: the
- * transposed float codebooks, or the INT8 encode bank's table bytes. */
-int64_t
-encodeSweepBytes(const lutboost::LutTableArena &arena,
-                 lutboost::EncodePrecision encode)
-{
-    if (encode == lutboost::EncodePrecision::Int8)
-        return arena.int8EncodeTableBytes();
-    return arena.inFeatures() * arena.numCentroids() *
-           static_cast<int64_t>(sizeof(float));
-}
-
 } // namespace
 
 void
@@ -83,6 +38,66 @@ applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
             nn::geluForward(data, total);
         }
     }
+}
+
+LutBinding::LutBinding(
+    const std::vector<const lutboost::LutTableArena *> &arenas,
+    lutboost::TablePrecision table, lutboost::EncodePrecision encode)
+    : backend_(table), encode_(encode)
+{
+    // The stage is one plan unit, so the encode choice is all-or-nothing
+    // across its arenas (attention's four projections share metric and
+    // geometry in practice, so this is not restrictive).
+    for (const lutboost::LutTableArena *arena : arenas)
+        if (!arena->int8EncodeSupported())
+            encode_ = lutboost::EncodePrecision::Float32;
+    for (const lutboost::LutTableArena *arena : arenas) {
+        banks_.push_back(
+            {&arena->tableBank(table), &arena->encodeBank(encode_)});
+        float_bytes_ += arena->sizeBytes();
+    }
+}
+
+int64_t
+LutBinding::tableBytes() const
+{
+    int64_t bytes = 0;
+    for (const lutboost::BankPair &banks : banks_)
+        bytes += banks.table->tableBytes();
+    return bytes;
+}
+
+int64_t
+LutBinding::encodeBytes() const
+{
+    int64_t bytes = 0;
+    for (const lutboost::BankPair &banks : banks_)
+        bytes += banks.encode->tableBytes();
+    return bytes;
+}
+
+int64_t
+LutBinding::residentBytes() const
+{
+    int64_t bytes = float_bytes_;
+    for (const lutboost::BankPair &banks : banks_)
+        bytes += banks.residentBytes();
+    return bytes;
+}
+
+std::string
+LutBinding::describe(std::string base,
+                     const std::vector<PointwiseOp> &epilogue) const
+{
+    // The default float/float32 plan adds nothing, so its strings stay
+    // exactly as tests pin them.
+    if (!backend_.bitExact())
+        base += std::string("[") + backend_.name() + "]";
+    if (encode_ == lutboost::EncodePrecision::Int8)
+        base += "[enc:int8]";
+    for (PointwiseOp op : epilogue)
+        base += op == PointwiseOp::Relu ? "+relu" : "+gelu";
+    return base;
 }
 
 void
@@ -105,49 +120,29 @@ FrozenStage::forwardInPlace(float *, int64_t, StageScratch &) const
 }
 
 ArenaStage::ArenaStage(std::shared_ptr<const lutboost::LutTableArena> arena,
-                       const lutboost::KernelBackend *backend,
+                       lutboost::TablePrecision table,
                        std::vector<PointwiseOp> epilogue,
                        int64_t adapt_in_width, int64_t shard_rows,
                        lutboost::EncodePrecision encode)
     : arena_(std::move(arena)),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
+      binding_({arena_.get()}, table, encode),
       epilogue_(std::move(epilogue)),
       adapt_in_(adapt_in_width),
-      shard_rows_(shard_rows),
-      encode_(resolveEncode(*arena_, encode))
+      shard_rows_(shard_rows)
 {
-    backend_->prepare(*arena_);
 }
 
 std::string
 ArenaStage::description() const
 {
-    std::string out = adapt_in_ > 0 ? "adapt+lut-gemm" : "lut-gemm";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    return out + encodeSuffix(encode_) + epilogueSuffix(epilogue_);
-}
-
-int64_t
-ArenaStage::encodeBytes() const
-{
-    return encodeSweepBytes(*arena_, encode_);
-}
-
-int64_t
-ArenaStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arena_);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arena_->int8EncodeResidentBytes();
-    return bytes;
+    return binding_.describe(adapt_in_ > 0 ? "adapt+lut-gemm" : "lut-gemm",
+                             epilogue_);
 }
 
 int64_t
 ArenaStage::tileGranuleRows() const
 {
-    return backend_->gatherGranuleRows(*arena_);
+    return backend().gatherGranuleRows(*arena_);
 }
 
 int64_t
@@ -167,11 +162,10 @@ ArenaStage::tileScratchBytesPerRow() const
 }
 
 void
-arenaGemmForward(const lutboost::LutTableArena &arena,
-                 const lutboost::KernelBackend &backend, const float *in,
+arenaGemmForward(const lutboost::BankPair &banks, const float *in,
                  int64_t rows, float *out, int64_t shard_rows,
                  const std::vector<PointwiseOp> &epilogue,
-                 StageScratch &scratch, lutboost::EncodePrecision encode)
+                 StageScratch &scratch)
 {
     // Shard both phases over the serving worker pool when the batch is
     // big enough to split (rows are independent, so the sharded sweep is
@@ -180,15 +174,15 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
     // batch's per-phase WALL time regardless of how many workers helped.
     const auto t0 = Clock::now();
     const int64_t shard = shard_rows;
+    const lutboost::LutTableArena &arena = banks.table->arena();
     const int64_t out_width = arena.outFeatures();
     const bool sharded =
         scratch.pool != nullptr && shard > 0 && rows >= 2 * shard;
     if (!sharded) {
         // The fused tile entry point: whole-batch execution is just the
         // one-tile case of the streaming executor's per-tile sweep.
-        backend.forwardTile(arena, in, rows, out, scratch.kernel,
-                            &scratch.encode_ns, &scratch.gather_ns,
-                            encode);
+        banks.forwardTile(in, rows, out, scratch.kernel, &scratch.encode_ns,
+                          &scratch.gather_ns);
         const auto t1 = Clock::now();
         applyPointwiseOps(epilogue, out, rows * out_width);
         scratch.gather_ns += nanosSince(t1);
@@ -197,14 +191,14 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
 
     const int64_t blocks = (rows + shard - 1) / shard;
     vq::CodeBuffer &codes = scratch.kernel.codes;
-    backend.encodePrepare(arena, rows, codes);
+    codes.reset(rows, arena.numSubspaces(), arena.numCentroids());
     scratch.pool->parallelFor(
         blocks,
         [&](int64_t block, StageScratch &local) {
             const int64_t r0 = block * shard;
             const int64_t rn = std::min(shard, rows - r0);
-            backend.encodeBlock(arena, in, r0, rn, codes, local.kernel,
-                                encode);
+            banks.encode->encodeBlock(in, r0, rn, codes,
+                                      local.kernel.encode);
         },
         scratch);
     scratch.encode_ns += nanosSince(t0);
@@ -215,7 +209,7 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
         [&](int64_t block, StageScratch &local) {
             const int64_t r0 = block * shard;
             const int64_t rn = std::min(shard, rows - r0);
-            backend.gatherBlock(arena, codes, r0, rn, out, local.kernel);
+            banks.table->gather(codes, r0, rn, out, local.kernel.gather);
             // Epilogue per shard: elementwise, so shard boundaries cannot
             // change it, and the slab is still cache-hot.
             applyPointwiseOps(epilogue, out + r0 * out_width,
@@ -254,56 +248,34 @@ ArenaStage::forward(const float *in, int64_t rows, float *out,
         src = dst;
         scratch.encode_ns += nanosSince(t0);
     }
-    arenaGemmForward(*arena_, *backend_, src, rows, out, shard_rows_,
-                     epilogue_, scratch, encode_);
+    arenaGemmForward(binding_.banks(), src, rows, out, shard_rows_,
+                     epilogue_, scratch);
 }
 
 ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,
                      std::shared_ptr<const lutboost::LutTableArena> arena,
-                     const lutboost::KernelBackend *backend,
+                     lutboost::TablePrecision table,
                      std::vector<PointwiseOp> epilogue,
                      lutboost::EncodePrecision encode)
     : geom_(geom), h_(height), w_(width), arena_(std::move(arena)),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)),
-      encode_(resolveEncode(*arena_, encode))
+      binding_({arena_.get()}, table, encode),
+      epilogue_(std::move(epilogue))
 {
-    backend_->prepare(*arena_);
 }
 
 std::string
 ConvStage::description() const
 {
-    std::string out = "conv";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    return out + encodeSuffix(encode_) + epilogueSuffix(epilogue_);
-}
-
-int64_t
-ConvStage::encodeBytes() const
-{
-    return encodeSweepBytes(*arena_, encode_);
-}
-
-int64_t
-ConvStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arena_);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arena_->int8EncodeResidentBytes();
-    return bytes;
+    return binding_.describe("conv", epilogue_);
 }
 
 void
 ConvStage::forward(const float *in, int64_t rows, float *out,
                    StageScratch &scratch) const
 {
-    lutboost::convArenaForward(*arena_, geom_, in, rows, h_, w_, out,
-                               scratch.conv, *backend_, scratch.kernel,
-                               &scratch.encode_ns, &scratch.gather_ns,
-                               encode_);
+    lutboost::convArenaForward(binding_.banks(), geom_, in, rows, h_, w_,
+                               out, scratch.conv, scratch.kernel,
+                               &scratch.encode_ns, &scratch.gather_ns);
     if (!epilogue_.empty()) {
         // Elementwise, so it commutes with the NCHW reshape; applying it
         // on the final plane keeps it a single cache-hot sweep.

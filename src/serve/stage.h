@@ -14,14 +14,14 @@
  * is topology-agnostic: MLPs, CNNs, and future attention graphs all
  * execute as "for stage in stages: stage.forward".
  *
- * Execution model: LUT stages do no inline math. They emit two kernel
- * calls — encodeBatch (rows -> bit-packed centroid indices) and
- * gatherAccumulate (indices -> accumulated table rows) — dispatched
- * through the lutboost::KernelBackend chosen at plan time (reference
- * float = bit-exact, quantized = packed codes + INT8 tables), and then
- * apply any epilogue ops the planner fused in (pointwise activations,
- * trace width adaptation) while the output is still cache-hot. The two
- * phase times are accumulated into StageScratch for EngineStats.
+ * Execution model: LUT stages do no inline math. Each binds one (table
+ * bank, encode bank) pair per arena at plan time (LutBinding: float =
+ * bit-exact, INT8 / INT4 tables, float or INT8 encode), runs encode
+ * (rows -> centroid codes) and gather (codes -> accumulated table rows)
+ * through those banks, and then applies any epilogue ops
+ * the planner fused in (pointwise activations, trace width adaptation)
+ * while the output is still cache-hot. The two phase times are
+ * accumulated into StageScratch for EngineStats.
  *
  * Layout contract: a batch is always a [rows, width] row-major matrix of
  * floats. Spatial stages interpret each row as a flattened NCHW image
@@ -179,8 +179,9 @@ class FrozenStage
      */
     virtual int64_t encodeBytes() const { return 0; }
 
-    /** Bytes resident for the stage's tables, mirror layouts included
-     * (== tableBytes() for the float bank; 0 for non-LUT stages). */
+    /** Bytes resident for the stage's tables: the float arena every
+     * plan keeps (codebooks, PSum table, bias) plus the banks the plan
+     * reads. 0 for non-LUT stages. */
     virtual int64_t residentBytes() const { return 0; }
 
     /** True when the stage mutates rows in place (inWidth==outWidth). */
@@ -236,28 +237,71 @@ void applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
                        int64_t total);
 
 /**
+ * The banks the planner bound to one LUT stage: one table precision and
+ * one RESOLVED encode precision over the stage's arenas (one for
+ * lut-gemm and conv, four for attention), i.e. one (table bank, encode
+ * bank) pair per arena. Int8 encode resolves all-or-nothing: only when
+ * every arena supports the INT8 encode bank (L2 metric), else Float32.
+ * Construction builds every bank, so serving never pays a lazy build.
+ */
+class LutBinding
+{
+  public:
+    LutBinding(const std::vector<const lutboost::LutTableArena *> &arenas,
+               lutboost::TablePrecision table,
+               lutboost::EncodePrecision encode);
+
+    /** The kernel backend of the bound table precision. */
+    const lutboost::KernelBackend &backend() const { return backend_; }
+
+    /** The resolved encode precision. */
+    lutboost::EncodePrecision encode() const { return encode_; }
+
+    /** The bank pair bound to the `i`-th arena (constructor order). */
+    const lutboost::BankPair &banks(size_t i = 0) const { return banks_[i]; }
+
+    /** Gather bytes one sweep streams, summed over the arenas. */
+    int64_t tableBytes() const;
+
+    /** Encode bytes one sweep streams, summed over the arenas. */
+    int64_t encodeBytes() const;
+
+    /** The arenas' float source plus the bound banks' allocations. */
+    int64_t residentBytes() const;
+
+    /** `base` decorated with the precisions and fused ops, e.g.
+     * "lut-gemm[int8][enc:int8]+relu"; the float/float32 binding adds
+     * no tag. */
+    std::string describe(std::string base,
+                         const std::vector<PointwiseOp> &epilogue) const;
+
+  private:
+    lutboost::KernelBackend backend_;
+    lutboost::EncodePrecision encode_;
+    std::vector<lutboost::BankPair> banks_;
+    int64_t float_bytes_ = 0;
+};
+
+/**
  * The arena LUT-GEMM execution body shared by ArenaStage and
  * AttentionStage's four projection GEMMs: encode `in` ([rows, arena K])
- * then gather into `out` ([rows, arena N]) through `backend`, applying
- * `epilogue` on the output while it is cache-hot, with phase times
- * accumulated into scratch.encode_ns / gather_ns. When `shard_rows` > 0
- * and `scratch.pool` is set, batches of at least two shards run each
- * phase as a parallel-for over row blocks (bit-exact with the
- * single-thread sweep; see ArenaStage). `encode` picks the encode-phase
- * arithmetic (see lutboost::EncodePrecision); sharded and unsharded
- * sweeps route it identically, so the choice never depends on batch
- * size.
+ * then gather into `out` ([rows, arena N]) over `banks` (one arena's
+ * bound pair, see LutBinding), applying `epilogue` on the output while
+ * it is cache-hot, with phase times accumulated into scratch.encode_ns /
+ * gather_ns. When `shard_rows` > 0 and `scratch.pool` is set, batches of
+ * at least two shards run each phase as a parallel-for over row blocks
+ * (bit-exact with the single-thread sweep; see ArenaStage); sharded and
+ * unsharded sweeps read the same banks, so the result never depends on
+ * batch size.
  */
-void arenaGemmForward(
-    const lutboost::LutTableArena &arena,
-    const lutboost::KernelBackend &backend, const float *in, int64_t rows,
-    float *out, int64_t shard_rows,
-    const std::vector<PointwiseOp> &epilogue, StageScratch &scratch,
-    lutboost::EncodePrecision encode = lutboost::EncodePrecision::Float32);
+void arenaGemmForward(const lutboost::BankPair &banks, const float *in,
+                      int64_t rows, float *out, int64_t shard_rows,
+                      const std::vector<PointwiseOp> &epilogue,
+                      StageScratch &scratch);
 
 /**
  * Arena-backed LUT-GEMM stage (lowered LutLinear): encode -> gather
- * through the planned kernel backend, then any fused epilogue. The
+ * over the bound bank pair, then any fused epilogue. The
  * optional `adapt_in_width` prologue absorbs a preceding WidthAdaptStage
  * (trace models): the stage then consumes `adapt_in_width`-wide rows and
  * cyclically replicates them to the arena width in scratch before
@@ -268,18 +312,17 @@ void arenaGemmForward(
  * disjoint output rows (epilogue included, still cache-hot) — bit-exact
  * with the single-thread sweep because rows are independent.
  *
- * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
- * Int8 is honored only when the arena supports the quantized encode bank
- * (L2 metric); otherwise the stage silently resolves to Float32, exactly
- * as the planner would. The bank is built eagerly at construction so
- * serving never pays the lazy-build cost.
+ * `table` and `encode` pick the stage's bank pair (see LutBinding): Int8
+ * encode is honored only when the arena supports the quantized encode
+ * bank (L2 metric); otherwise the stage silently resolves to Float32,
+ * exactly as the planner would.
  */
 class ArenaStage : public FrozenStage
 {
   public:
     explicit ArenaStage(
         std::shared_ptr<const lutboost::LutTableArena> arena,
-        const lutboost::KernelBackend *backend = nullptr,
+        lutboost::TablePrecision table = lutboost::TablePrecision::Float32,
         std::vector<PointwiseOp> epilogue = {},
         int64_t adapt_in_width = 0, int64_t shard_rows = 0,
         lutboost::EncodePrecision encode =
@@ -293,13 +336,13 @@ class ArenaStage : public FrozenStage
         return adapt_in_ > 0 ? adapt_in_ : arena_->inFeatures();
     }
     int64_t outWidth() const override { return arena_->outFeatures(); }
+    int64_t tableBytes() const override { return binding_.tableBytes(); }
+    int64_t encodeBytes() const override { return binding_.encodeBytes(); }
     int64_t
-    tableBytes() const override
+    residentBytes() const override
     {
-        return backend_->tableBytes(*arena_);
+        return binding_.residentBytes();
     }
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
 
@@ -317,7 +360,14 @@ class ArenaStage : public FrozenStage
     }
 
     /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
+    const lutboost::KernelBackend &
+    backend() const
+    {
+        return binding_.backend();
+    }
+
+    /** The banks the planner bound (see LutBinding). */
+    const LutBinding &binding() const { return binding_; }
 
     /** Fused epilogue ops (empty before planning). */
     const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
@@ -333,22 +383,21 @@ class ArenaStage : public FrozenStage
     lutboost::EncodePrecision
     encodePrecision() const
     {
-        return encode_;
+        return binding_.encode();
     }
 
   private:
     std::shared_ptr<const lutboost::LutTableArena> arena_;
-    const lutboost::KernelBackend *backend_;
+    LutBinding binding_;
     std::vector<PointwiseOp> epilogue_;
     int64_t adapt_in_;
     int64_t shard_rows_;
-    lutboost::EncodePrecision encode_;
 };
 
 /**
  * Im2col-lowered convolution stage (lowered LutConv2d): fixed input
  * geometry (C, H, W baked in at lowering time), batched im2col into
- * scratch, encode -> gather through the planned backend, NCHW reshape,
+ * scratch, encode -> gather over the bound bank pair, NCHW reshape,
  * then any fused epilogue (elementwise, so it commutes with the
  * reshape). Rows are flattened NCHW images.
  */
@@ -357,7 +406,8 @@ class ConvStage : public FrozenStage
   public:
     ConvStage(ConvGeometry geom, int64_t height, int64_t width,
               std::shared_ptr<const lutboost::LutTableArena> arena,
-              const lutboost::KernelBackend *backend = nullptr,
+              lutboost::TablePrecision table =
+                  lutboost::TablePrecision::Float32,
               std::vector<PointwiseOp> epilogue = {},
               lutboost::EncodePrecision encode =
                   lutboost::EncodePrecision::Float32);
@@ -374,13 +424,13 @@ class ConvStage : public FrozenStage
     {
         return geom_.out_channels * geom_.outSize(h_) * geom_.outSize(w_);
     }
+    int64_t tableBytes() const override { return binding_.tableBytes(); }
+    int64_t encodeBytes() const override { return binding_.encodeBytes(); }
     int64_t
-    tableBytes() const override
+    residentBytes() const override
     {
-        return backend_->tableBytes(*arena_);
+        return binding_.residentBytes();
     }
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
 
@@ -401,7 +451,14 @@ class ConvStage : public FrozenStage
     }
 
     /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
+    const lutboost::KernelBackend &
+    backend() const
+    {
+        return binding_.backend();
+    }
+
+    /** The banks the planner bound (see LutBinding). */
+    const LutBinding &binding() const { return binding_; }
 
     /** Fused epilogue ops (empty before planning). */
     const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
@@ -416,16 +473,15 @@ class ConvStage : public FrozenStage
     lutboost::EncodePrecision
     encodePrecision() const
     {
-        return encode_;
+        return binding_.encode();
     }
 
   private:
     ConvGeometry geom_;
     int64_t h_, w_;
     std::shared_ptr<const lutboost::LutTableArena> arena_;
-    const lutboost::KernelBackend *backend_;
+    LutBinding binding_;
     std::vector<PointwiseOp> epilogue_;
-    lutboost::EncodePrecision encode_;
 };
 
 /** Pointwise activation stage (lowered ReLU / GELU); in place. */

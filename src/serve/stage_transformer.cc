@@ -23,15 +23,6 @@ nanosSince(Clock::time_point start)
             .count());
 }
 
-std::string
-epilogueSuffix(const std::vector<PointwiseOp> &ops)
-{
-    std::string out;
-    for (PointwiseOp op : ops)
-        out += op == PointwiseOp::Relu ? "+relu" : "+gelu";
-    return out;
-}
-
 /** Size a skip slot's plane, growing the slot vector on first use. */
 std::vector<float> &
 skipPlane(StageScratch &scratch, int64_t slot, int64_t total)
@@ -91,93 +82,41 @@ SoftmaxStage::forwardInPlace(float *data, int64_t rows,
     nn::softmaxForward(data, rows, width_, data);
 }
 
+namespace {
+
+/** The four projection arenas in Q, K, V, O order; checked non-null. */
+std::vector<const lutboost::LutTableArena *>
+projectionArenas(const AttentionStage::Arenas &arenas)
+{
+    LUTDLA_CHECK(arenas.q && arenas.k && arenas.v && arenas.o,
+                 "AttentionStage needs all four projection arenas");
+    return {arenas.q.get(), arenas.k.get(), arenas.v.get(),
+            arenas.o.get()};
+}
+
+} // namespace
+
 AttentionStage::AttentionStage(Arenas arenas, int64_t seq_len,
-                               int64_t heads,
-                               const lutboost::KernelBackend *backend,
+                               int64_t heads, lutboost::TablePrecision table,
                                std::vector<PointwiseOp> epilogue,
                                int64_t shard_rows,
                                lutboost::EncodePrecision encode)
     : arenas_(std::move(arenas)), seq_len_(seq_len), heads_(heads),
-      d_model_(arenas_.q->outFeatures()),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)), shard_rows_(shard_rows),
-      encode_(lutboost::EncodePrecision::Float32)
+      d_model_(arenas_.q ? arenas_.q->outFeatures() : 0),
+      binding_(projectionArenas(arenas_), table, encode),
+      epilogue_(std::move(epilogue)), shard_rows_(shard_rows)
 {
-    LUTDLA_CHECK(arenas_.q && arenas_.k && arenas_.v && arenas_.o,
-                 "AttentionStage needs all four projection arenas");
     LUTDLA_CHECK(seq_len_ >= 1, "seq_len must be >= 1");
     LUTDLA_CHECK(heads_ >= 1 && d_model_ % heads_ == 0,
                  "heads must divide d_model");
-    backend_->prepare(*arenas_.q);
-    backend_->prepare(*arenas_.k);
-    backend_->prepare(*arenas_.v);
-    backend_->prepare(*arenas_.o);
-    // The stage is one plan unit, so the encode choice is all-or-nothing
-    // across the four projections: Int8 resolves only when every arena
-    // carries the quantized encode bank (they share metric and geometry
-    // in practice, so this is not restrictive).
-    if (encode == lutboost::EncodePrecision::Int8 &&
-        arenas_.q->int8EncodeSupported() &&
-        arenas_.k->int8EncodeSupported() &&
-        arenas_.v->int8EncodeSupported() &&
-        arenas_.o->int8EncodeSupported()) {
-        arenas_.q->ensureInt8EncodeBank();
-        arenas_.k->ensureInt8EncodeBank();
-        arenas_.v->ensureInt8EncodeBank();
-        arenas_.o->ensureInt8EncodeBank();
-        encode_ = lutboost::EncodePrecision::Int8;
-    }
 }
 
 std::string
 AttentionStage::description() const
 {
-    std::string out = "attention(h" + std::to_string(heads_) + ",t" +
-                      std::to_string(seq_len_) + ")";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        out += "[enc:int8]";
-    return out + epilogueSuffix(epilogue_);
-}
-
-int64_t
-AttentionStage::tableBytes() const
-{
-    return backend_->tableBytes(*arenas_.q) +
-           backend_->tableBytes(*arenas_.k) +
-           backend_->tableBytes(*arenas_.v) +
-           backend_->tableBytes(*arenas_.o);
-}
-
-int64_t
-AttentionStage::encodeBytes() const
-{
-    const auto arena_encode_bytes =
-        [&](const lutboost::LutTableArena &arena) {
-            if (encode_ == lutboost::EncodePrecision::Int8)
-                return arena.int8EncodeTableBytes();
-            return arena.inFeatures() * arena.numCentroids() *
-                   static_cast<int64_t>(sizeof(float));
-        };
-    return arena_encode_bytes(*arenas_.q) + arena_encode_bytes(*arenas_.k) +
-           arena_encode_bytes(*arenas_.v) + arena_encode_bytes(*arenas_.o);
-}
-
-int64_t
-AttentionStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arenas_.q) +
-                    backend_->residentBytes(*arenas_.k) +
-                    backend_->residentBytes(*arenas_.v) +
-                    backend_->residentBytes(*arenas_.o);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arenas_.q->int8EncodeResidentBytes() +
-                 arenas_.k->int8EncodeResidentBytes() +
-                 arenas_.v->int8EncodeResidentBytes() +
-                 arenas_.o->int8EncodeResidentBytes();
-    return bytes;
+    return binding_.describe("attention(h" + std::to_string(heads_) +
+                                 ",t" + std::to_string(seq_len_) + ")",
+                             epilogue_);
 }
 
 void
@@ -196,15 +135,15 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     // Three projection LUT-GEMMs into the worker's attention planes; the
     // shared arena body shards them over rows exactly like ArenaStage.
     static const std::vector<PointwiseOp> kNoEpilogue;
-    arenaGemmForward(*arenas_.q, *backend_, in, rows,
+    arenaGemmForward(binding_.banks(0), in, rows,
                      scratch.attn_q.data(), shard_rows_, kNoEpilogue,
-                     scratch, encode_);
-    arenaGemmForward(*arenas_.k, *backend_, in, rows,
+                     scratch);
+    arenaGemmForward(binding_.banks(1), in, rows,
                      scratch.attn_k.data(), shard_rows_, kNoEpilogue,
-                     scratch, encode_);
-    arenaGemmForward(*arenas_.v, *backend_, in, rows,
+                     scratch);
+    arenaGemmForward(binding_.banks(2), in, rows,
                      scratch.attn_v.data(), shard_rows_, kNoEpilogue,
-                     scratch, encode_);
+                     scratch);
 
     // Scaled-dot-product core: the shared eval kernel per sequence, into
     // a zeroed context plane. Sequences are independent, so sharding over
@@ -238,8 +177,8 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     scratch.gather_ns += nanosSince(t0);
 
     // Output projection (with any fused epilogue) into the stage output.
-    arenaGemmForward(*arenas_.o, *backend_, ctx, rows, out, shard_rows_,
-                     epilogue_, scratch, encode_);
+    arenaGemmForward(binding_.banks(3), ctx, rows, out, shard_rows_,
+                     epilogue_, scratch);
 }
 
 } // namespace lutdla::serve

@@ -142,8 +142,8 @@ class SoftmaxStage : public FrozenStage
 
 /**
  * Multi-head self-attention stage (lowered MultiHeadSelfAttention): four
- * frozen projection arenas (Q, K, V, output) run as LUT-GEMMs through
- * the planned kernel backend, with the scaled-dot-product + stable
+ * frozen projection arenas (Q, K, V, output) run as LUT-GEMMs over
+ * their bound bank pairs, with the scaled-dot-product + stable
  * softmax core between them executed by the shared
  * nn::attentionSequenceContext kernel per sequence. Batches must be
  * whole sequences ([B * seq_len, d_model] rows); the front door's
@@ -163,7 +163,8 @@ class AttentionStage : public FrozenStage
     };
 
     AttentionStage(Arenas arenas, int64_t seq_len, int64_t heads,
-                   const lutboost::KernelBackend *backend = nullptr,
+                   lutboost::TablePrecision table =
+                       lutboost::TablePrecision::Float32,
                    std::vector<PointwiseOp> epilogue = {},
                    int64_t shard_rows = 0,
                    lutboost::EncodePrecision encode =
@@ -178,9 +179,13 @@ class AttentionStage : public FrozenStage
      * stage needs whole sequences and full-batch projection planes — it
      * executes between tiled segments, never inside one. */
     bool rowTileable() const override { return false; }
-    int64_t tableBytes() const override;
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
+    int64_t tableBytes() const override { return binding_.tableBytes(); }
+    int64_t encodeBytes() const override { return binding_.encodeBytes(); }
+    int64_t
+    residentBytes() const override
+    {
+        return binding_.residentBytes();
+    }
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
 
@@ -188,7 +193,15 @@ class AttentionStage : public FrozenStage
     const Arenas &arenas() const { return arenas_; }
 
     /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
+    const lutboost::KernelBackend &
+    backend() const
+    {
+        return binding_.backend();
+    }
+
+    /** The banks the planner bound, in q, k, v, o order (see
+     * LutBinding). */
+    const LutBinding &binding() const { return binding_; }
 
     /** Fused epilogue ops on the output projection (empty pre-plan). */
     const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
@@ -211,7 +224,7 @@ class AttentionStage : public FrozenStage
     lutboost::EncodePrecision
     encodePrecision() const
     {
-        return encode_;
+        return binding_.encode();
     }
 
   private:
@@ -219,10 +232,9 @@ class AttentionStage : public FrozenStage
     int64_t seq_len_;
     int64_t heads_;
     int64_t d_model_;
-    const lutboost::KernelBackend *backend_;
+    LutBinding binding_;
     std::vector<PointwiseOp> epilogue_;
     int64_t shard_rows_;
-    lutboost::EncodePrecision encode_;
 };
 
 } // namespace lutdla::serve

@@ -321,15 +321,83 @@ TEST(CodeBufferPlanar, MatchesRowMajorUnpackOnAwkwardShapes)
     }
 }
 
-// ---- Property: every INT8 gather variant is bit-identical --------------
+// ---- Property: every tier of a table bank is bit-identical -------------
+
+/** Every SIMD tier at or below this host's, Generic first. */
+std::vector<util::SimdLevel>
+tiersUpToHost()
+{
+    std::vector<util::SimdLevel> tiers;
+    for (int level = 0; level <= static_cast<int>(util::simdLevel());
+         ++level)
+        tiers.push_back(static_cast<util::SimdLevel>(level));
+    return tiers;
+}
 
 /**
- * The INT8 gather contract: shuffle (AVX-512 / AVX2) and scalar variants
- * share exact integer accumulation under group scales, so their float
- * outputs must match BIT FOR BIT across awkward shapes — c in {4, 16},
- * K % v != 0, row counts around the 32/64-row chunk boundaries, single
- * rows, and multi-block batches with ragged tails.
+ * The quantized gather contract: a bank of one precision built for ANY
+ * tier (generic scalar group sweep, AVX2 / AVX-512 shuffle, VNNI dot)
+ * shares exact integer accumulation under group scales, so its float
+ * outputs must match the generic tier BIT FOR BIT across awkward shapes —
+ * c in {4, 16}, K % v != 0, row counts around the 32/64-row chunk
+ * boundaries, single rows, and multi-block batches with ragged tails —
+ * including span-sharded sweeps (what the engine's parallel-for runs).
  */
+void
+expectEveryGatherTierBitIdentical(lutboost::TablePrecision precision,
+                                  int64_t k, int64_t n, int64_t v,
+                                  int64_t c, int64_t rows, uint64_t seed)
+{
+    vq::PQConfig pq;
+    pq.v = v;
+    pq.c = c;
+    lutboost::LutLinear layer(k, n, pq, /*bias=*/true,
+                              /*seed=*/static_cast<uint64_t>(k + c + rows));
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+
+    Rng rng(seed + static_cast<uint64_t>(rows));
+    Tensor x(Shape{rows, k});
+    for (int64_t i = 0; i < x.numel(); ++i)
+        x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+
+    lutboost::KernelScratch scratch;
+    arena->encodeBank(lutboost::EncodePrecision::Float32)
+        .encodeBatch(x.data(), rows, scratch.codes, scratch.encode);
+
+    Tensor scalar(Shape{rows, n});
+    lutboost::makeTableBank(*arena, precision, util::SimdLevel::Generic)
+        ->gather(scratch.codes, 0, rows, scalar.data(), scratch.gather);
+
+    for (const util::SimdLevel level : tiersUpToHost()) {
+        const auto bank = lutboost::makeTableBank(*arena, precision, level);
+        Tensor got(Shape{rows, n});
+        bank->gather(scratch.codes, 0, rows, got.data(), scratch.gather);
+        EXPECT_TRUE(got.equals(scalar))
+            << bank->kernelName() << " at " << util::simdLevelName(level)
+            << " diverged: k=" << k << " v=" << v << " c=" << c
+            << " rows=" << rows
+            << " maxdiff=" << Tensor::maxAbsDiff(got, scalar);
+
+        Tensor spans(Shape{rows, n});
+        const int64_t half = rows / 2;
+        if (half > 0)
+            bank->gather(scratch.codes, 0, half, spans.data(),
+                         scratch.gather);
+        bank->gather(scratch.codes, half, rows - half, spans.data(),
+                     scratch.gather);
+        EXPECT_TRUE(spans.equals(scalar))
+            << "span seam changed the " << bank->kernelName()
+            << " gather result";
+    }
+
+    // The arena's own bank (the running tier) serves the plans.
+    Tensor served(Shape{rows, n});
+    arena->tableBank(precision).gather(scratch.codes, 0, rows,
+                                       served.data(), scratch.gather);
+    EXPECT_TRUE(served.equals(scalar));
+}
+
 class Int8GatherVariants
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t>>
@@ -339,66 +407,8 @@ class Int8GatherVariants
 TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 {
     const auto [k, v, c, rows] = GetParam();
-    vq::PQConfig pq;
-    pq.v = v;
-    pq.c = c;
-    lutboost::LutLinear layer(k, 70, pq, /*bias=*/true,
-                              /*seed=*/static_cast<uint64_t>(k + c + rows));
-    layer.refreshInferenceLut();
-    const auto arena = layer.inferenceArena();
-    arena->ensureInt8Bank();
-
-    Rng rng(55 + static_cast<uint64_t>(rows));
-    Tensor x(Shape{rows, k});
-    for (int64_t i = 0; i < x.numel(); ++i)
-        x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
-
-    lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
-
-    Tensor scalar(Shape{rows, 70});
-    arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
-                                scratch.gather,
-                                lutboost::Int8GatherVariant::Scalar);
-
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::Int8GatherVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx512);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
-        Tensor shuffled(Shape{rows, 70});
-        arena->gatherAccumulateInt8(scratch.codes, shuffled.data(),
-                                    scratch.gather, variant);
-        EXPECT_TRUE(shuffled.equals(scalar))
-            << lutboost::LutTableArena::int8GatherVariantName(variant)
-            << " diverged: k=" << k << " v=" << v << " c=" << c
-            << " rows=" << rows
-            << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
-        // Auto must resolve to one of the paths just proven equal.
-        Tensor autod(Shape{rows, 70});
-        arena->gatherAccumulateInt8(scratch.codes, autod.data(),
-                                    scratch.gather);
-        EXPECT_TRUE(autod.equals(scalar));
-    }
-
-    // Span-sharded sweep (what the engine's parallel-for runs) must hit
-    // the same bits as the whole-buffer call.
-    Tensor spans(Shape{rows, 70});
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->gatherAccumulateInt8(scratch.codes, 0, half, spans.data(),
-                                    scratch.gather);
-    arena->gatherAccumulateInt8(scratch.codes, half, rows - half,
-                                spans.data(), scratch.gather);
-    EXPECT_TRUE(spans.equals(scalar))
-        << "span seam changed the INT8 gather result";
+    expectEveryGatherTierBitIdentical(lutboost::TablePrecision::Int8, k, 70,
+                                      v, c, rows, 55);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -411,15 +421,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65,
                                                   130)));
 
-// ---- Property: every INT4 gather variant is bit-identical --------------
-
 /**
- * The INT4 twin of the Int8GatherVariants contract: the nibble-packed
- * shuffle kernels and the scalar packed sweep share exact biased-nibble
- * accumulation under the same group scales, so their float outputs must
- * match BIT FOR BIT across the same awkward-shape grid. The output width
- * is ODD (71) so every run exercises the dangling low-plane column of
- * the last packed pair.
+ * The INT4 twin of Int8GatherVariants: the nibble-packed shuffle tiers and
+ * the generic packed sweep share exact biased-nibble accumulation under
+ * the same group scales. The output width is ODD (71) so every run
+ * exercises the dangling low-plane column of the last packed pair.
  */
 class Int4GatherVariants
     : public ::testing::TestWithParam<
@@ -430,61 +436,8 @@ class Int4GatherVariants
 TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
 {
     const auto [k, v, c, rows] = GetParam();
-    vq::PQConfig pq;
-    pq.v = v;
-    pq.c = c;
-    lutboost::LutLinear layer(k, 71, pq, /*bias=*/true,
-                              /*seed=*/static_cast<uint64_t>(k + c + rows));
-    layer.refreshInferenceLut();
-    const auto arena = layer.inferenceArena();
-    arena->ensureInt4Bank();
-
-    Rng rng(56 + static_cast<uint64_t>(rows));
-    Tensor x(Shape{rows, k});
-    for (int64_t i = 0; i < x.numel(); ++i)
-        x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
-
-    lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
-
-    Tensor scalar(Shape{rows, 71});
-    arena->gatherAccumulateInt4(scratch.codes, scalar.data(),
-                                scratch.gather,
-                                lutboost::Int4GatherVariant::Scalar);
-
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::Int4GatherVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
-        Tensor shuffled(Shape{rows, 71});
-        arena->gatherAccumulateInt4(scratch.codes, shuffled.data(),
-                                    scratch.gather, variant);
-        EXPECT_TRUE(shuffled.equals(scalar))
-            << lutboost::LutTableArena::int4GatherVariantName(variant)
-            << " diverged: k=" << k << " v=" << v << " c=" << c
-            << " rows=" << rows
-            << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
-        Tensor autod(Shape{rows, 71});
-        arena->gatherAccumulateInt4(scratch.codes, autod.data(),
-                                    scratch.gather);
-        EXPECT_TRUE(autod.equals(scalar));
-    }
-
-    Tensor spans(Shape{rows, 71});
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->gatherAccumulateInt4(scratch.codes, 0, half, spans.data(),
-                                    scratch.gather);
-    arena->gatherAccumulateInt4(scratch.codes, half, rows - half,
-                                spans.data(), scratch.gather);
-    EXPECT_TRUE(spans.equals(scalar))
-        << "span seam changed the INT4 gather result";
+    expectEveryGatherTierBitIdentical(lutboost::TablePrecision::Int4, k, 71,
+                                      v, c, rows, 56);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -495,17 +448,18 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65,
                                                   130)));
 
-// ---- Property: every INT8 encode variant is bit-identical --------------
+// ---- Property: every INT8 encode tier is bit-identical -----------------
 
 /**
  * The INT8 encode contract: the VNNI and AVX2 tiers quantize inputs onto
  * the same 7-bit grid and score centroids in the same exact int32
- * arithmetic as the scalar integer reference, so the SELECTED CODES must
- * match BIT FOR BIT across awkward shapes — c in {4, 16}, K % v != 0
- * (zero-padded ragged tail subspace), attention-shaped arenas (K = 64,
- * v | K), and row counts around the SIMD chunk boundaries. Agreement
- * with the float encode is a separate, statistical contract (see the
- * serve tests); THIS test is about exactness across kernels.
+ * arithmetic as the generic tier's scalar integer reference, so the
+ * SELECTED CODES must match BIT FOR BIT across awkward shapes — c in
+ * {4, 16}, K % v != 0 (zero-padded ragged tail subspace), attention-shaped
+ * arenas (K = 64, v | K), and row counts around the SIMD chunk
+ * boundaries. Agreement with the float encode is a separate, statistical
+ * contract (see the serve tests); THIS test is about exactness across
+ * kernels.
  */
 class Int8EncodeVariants
     : public ::testing::TestWithParam<
@@ -524,8 +478,6 @@ TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
     ASSERT_TRUE(arena->int8EncodeSupported());
-    arena->ensureInt8EncodeBank();
-    EXPECT_TRUE(arena->int8EncodeBankReady());
 
     Rng rng(91 + static_cast<uint64_t>(rows));
     Tensor x(Shape{rows, k});
@@ -535,49 +487,47 @@ TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
     const int64_t nc = arena->numSubspaces();
     lutboost::EncodeScratch staging;
     vq::CodeBuffer scalar;
-    arena->encodeBatchInt8(x.data(), rows, scalar, staging,
-                           lutboost::EncodeVariant::Scalar);
+    lutboost::makeEncodeBank(*arena, lutboost::EncodePrecision::Int8,
+                             util::SimdLevel::Generic)
+        ->encodeBatch(x.data(), rows, scalar, staging);
     ASSERT_EQ(scalar.rows(), rows);
     ASSERT_EQ(scalar.subspaces(), nc);
 
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::EncodeVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::EncodeVariant::DotVnni);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
-        vq::CodeBuffer simd;
-        arena->encodeBatchInt8(x.data(), rows, simd, staging, variant);
+    for (const util::SimdLevel level : tiersUpToHost()) {
+        const auto bank = lutboost::makeEncodeBank(
+            *arena, lutboost::EncodePrecision::Int8, level);
+        vq::CodeBuffer codes;
+        bank->encodeBatch(x.data(), rows, codes, staging);
         for (int64_t r = 0; r < rows; ++r)
             for (int64_t s = 0; s < nc; ++s)
-                ASSERT_EQ(simd.get(r, s), scalar.get(r, s))
-                    << lutboost::LutTableArena::encodeVariantName(variant)
-                    << " diverged: k=" << k << " v=" << v << " c=" << c
-                    << " rows=" << rows << " r=" << r << " s=" << s;
+                ASSERT_EQ(codes.get(r, s), scalar.get(r, s))
+                    << bank->kernelName() << " at "
+                    << util::simdLevelName(level) << " diverged: k=" << k
+                    << " v=" << v << " c=" << c << " rows=" << rows
+                    << " r=" << r << " s=" << s;
+
+        // Span-sharded encode (what the engine's parallel-for runs) must
+        // select the same codes as the whole-buffer call across the seam.
+        vq::CodeBuffer spans;
+        spans.reset(rows, nc, c);
+        const int64_t half = rows / 2;
+        if (half > 0)
+            bank->encodeBlock(x.data(), 0, half, spans, staging);
+        bank->encodeBlock(x.data(), half, rows - half, spans, staging);
+        for (int64_t r = 0; r < rows; ++r)
+            for (int64_t s = 0; s < nc; ++s)
+                ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
+                    << "span seam changed the " << bank->kernelName()
+                    << " encode at r=" << r;
     }
 
-    // Auto must resolve to one of the tiers just proven identical.
-    vq::CodeBuffer autod;
-    arena->encodeBatchInt8(x.data(), rows, autod, staging);
+    // The arena's own bank (the running tier) serves the plans.
+    vq::CodeBuffer served;
+    arena->encodeBank(lutboost::EncodePrecision::Int8)
+        .encodeBatch(x.data(), rows, served, staging);
     for (int64_t r = 0; r < rows; ++r)
         for (int64_t s = 0; s < nc; ++s)
-            ASSERT_EQ(autod.get(r, s), scalar.get(r, s));
-
-    // Span-sharded encode (what the engine's parallel-for runs) must
-    // select the same codes as the whole-buffer call across the seam.
-    vq::CodeBuffer spans;
-    spans.reset(rows, nc, c);
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->encodeBlockInt8(x.data(), 0, half, spans, staging);
-    arena->encodeBlockInt8(x.data(), half, rows - half, spans, staging);
-    for (int64_t r = 0; r < rows; ++r)
-        for (int64_t s = 0; s < nc; ++s)
-            ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
-                << "span seam changed the INT8 encode at r=" << r;
+            ASSERT_EQ(served.get(r, s), scalar.get(r, s));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -611,18 +561,17 @@ hostileRows(int64_t rows, int64_t k, uint64_t seed)
 }
 
 /**
- * KernelBackend::forwardTile encodes each chunk straight into the shuffle
- * gather's planar code lanes whenever the backend's gather runs a chunk
- * kernel. For both encode precisions and both quantized banks it must
- * produce exactly the bits of the split path at forced Scalar variants:
- * encodeBatch / encodeBatchInt8(Scalar) into a CodeBuffer, then
- * gatherAccumulateInt8/Int4(Scalar). Rows straddle the 8/16-row encode
- * lane groups and the 32/64-row gather chunks (below chunk / 4 rows the
- * planar gather runs the scalar sweep), K % v != 0 exercises the
- * zero-padded tail
- * subspace, and NaN / +-Inf rows ride along. One scratch is reused
- * across every call, so stale planar lanes from an earlier, larger tile
- * must never leak into a later one.
+ * BankPair::forwardTile encodes each chunk straight into the shuffle
+ * gather's planar code lanes whenever the table bank has a chunk kernel.
+ * For both encode precisions, both quantized table precisions and every
+ * tier at or below the host's, it must produce exactly the bits of the
+ * split path over generic-tier banks: encodeBatch into a CodeBuffer, then
+ * the scalar group sweep. Rows straddle the 8/16-row encode lane groups
+ * and the 32/64-row gather chunks (below chunk / 4 rows the planar gather
+ * runs the scalar sweep), K % v != 0 exercises the zero-padded tail
+ * subspace, and NaN / +-Inf rows ride along. One scratch is reused across
+ * every call, so stale planar lanes from an earlier, larger tile must
+ * never leak into a later one.
  */
 class FusedTileBitIdentity
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>>
@@ -641,54 +590,52 @@ TEST_P(FusedTileBitIdentity, MatchesSplitScalarReference)
                               /*seed=*/static_cast<uint64_t>(v * 31 + c));
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    arena->ensureInt8Bank();
-    arena->ensureInt4Bank();
-    arena->ensureInt8EncodeBank();
     ASSERT_NE(arena->numSubspaces() * v, k);
 
     const Tensor x = hostileRows(rows, k, 300 + static_cast<uint64_t>(rows));
-    const lutboost::KernelBackend *backends[] = {
-        &lutboost::quantizedBackend(), &lutboost::int4Backend()};
-    if (util::simdLevel() >= util::SimdLevel::Avx2) {
-        for (const auto *backend : backends) {
-            ASSERT_GT(backend->planarGather(*arena).chunk, 0)
-                << backend->name() << " should fuse on this host";
-        }
-    }
-
     lutboost::KernelScratch scratch;  // shared by every call below
     for (const auto encode : {lutboost::EncodePrecision::Float32,
                               lutboost::EncodePrecision::Int8}) {
         vq::CodeBuffer codes;
         lutboost::EncodeScratch es;
-        if (encode == lutboost::EncodePrecision::Int8)
-            arena->encodeBatchInt8(x.data(), rows, codes, es,
-                                   lutboost::EncodeVariant::Scalar);
-        else
-            arena->encodeBatch(x.data(), rows, codes, es);
-        for (const auto *backend : backends) {
+        lutboost::makeEncodeBank(*arena, encode, util::SimdLevel::Generic)
+            ->encodeBatch(x.data(), rows, codes, es);
+        for (const auto table : {lutboost::TablePrecision::Int8,
+                                 lutboost::TablePrecision::Int4}) {
             Tensor want(Shape{rows, n});
             lutboost::GatherScratch gs;
-            if (backend == &lutboost::int4Backend())
-                arena->gatherAccumulateInt4(
-                    codes, want.data(), gs,
-                    lutboost::Int4GatherVariant::Scalar);
-            else
-                arena->gatherAccumulateInt8(
-                    codes, want.data(), gs,
-                    lutboost::Int8GatherVariant::Scalar);
-            Tensor got(Shape{rows, n});
-            uint64_t encode_ns = 0, gather_ns = 0;
-            backend->forwardTile(*arena, x.data(), rows, got.data(),
-                                 scratch, &encode_ns, &gather_ns, encode);
-            EXPECT_TRUE(got.equals(want))
-                << backend->name() << " / "
-                << lutboost::encodePrecisionName(encode)
-                << " fused tile diverged: v=" << v << " c=" << c
-                << " rows=" << rows
-                << " maxdiff=" << Tensor::maxAbsDiff(got, want);
-            EXPECT_GT(encode_ns, 0u);
-            EXPECT_GT(gather_ns, 0u);
+            lutboost::makeTableBank(*arena, table, util::SimdLevel::Generic)
+                ->gather(codes, 0, rows, want.data(), gs);
+            const auto check = [&](const lutboost::BankPair &banks,
+                                   const char *tier) {
+                Tensor got(Shape{rows, n});
+                uint64_t encode_ns = 0, gather_ns = 0;
+                banks.forwardTile(x.data(), rows, got.data(), scratch,
+                                  &encode_ns, &gather_ns);
+                EXPECT_TRUE(got.equals(want))
+                    << banks.table->kernelName() << " / "
+                    << banks.encode->kernelName() << " at " << tier
+                    << " fused tile diverged: v=" << v << " c=" << c
+                    << " rows=" << rows
+                    << " maxdiff=" << Tensor::maxAbsDiff(got, want);
+                EXPECT_GT(encode_ns, 0u);
+                EXPECT_GT(gather_ns, 0u);
+            };
+            for (const util::SimdLevel level : tiersUpToHost()) {
+                const auto table_bank =
+                    lutboost::makeTableBank(*arena, table, level);
+                const auto encode_bank =
+                    lutboost::makeEncodeBank(*arena, encode, level);
+                if (level >= util::SimdLevel::Avx2) {
+                    ASSERT_GT(table_bank->chunkRows(), 0)
+                        << table_bank->kernelName() << " should fuse at "
+                        << util::simdLevelName(level);
+                }
+                check({table_bank.get(), encode_bank.get()},
+                      util::simdLevelName(level));
+            }
+            check({&arena->tableBank(table), &arena->encodeBank(encode)},
+                  "the arena's own banks");
         }
     }
 }
@@ -715,34 +662,35 @@ TEST(FusedTileScratch, WarmForwardTileAllocatesNothing)
     lutboost::LutLinear layer(52, 71, pq, /*bias=*/true, /*seed=*/17);
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    arena->ensureInt8EncodeBank();
     struct Case
     {
-        const lutboost::KernelBackend *backend;
+        lutboost::TablePrecision table;
         lutboost::EncodePrecision encode;
         int64_t rows;
     };
     const Case cases[] = {
-        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 64},
-        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 130},
-        {&lutboost::int4Backend(), lutboost::EncodePrecision::Int8, 5},
-        {&lutboost::quantizedBackend(), lutboost::EncodePrecision::Float32,
+        {lutboost::TablePrecision::Int4, lutboost::EncodePrecision::Int8, 64},
+        {lutboost::TablePrecision::Int4, lutboost::EncodePrecision::Int8,
+         130},
+        {lutboost::TablePrecision::Int4, lutboost::EncodePrecision::Int8, 5},
+        {lutboost::TablePrecision::Int8, lutboost::EncodePrecision::Float32,
          100},
-        {&lutboost::referenceBackend(), lutboost::EncodePrecision::Float32,
-         64},
+        {lutboost::TablePrecision::Float32,
+         lutboost::EncodePrecision::Float32, 64},
     };
     for (const Case &tc : cases) {
-        tc.backend->prepare(*arena);
+        const lutboost::BankPair banks{&arena->tableBank(tc.table),
+                                       &arena->encodeBank(tc.encode)};
         const Tensor x = randomMatrix(tc.rows, 52, 5);
         Tensor y(Shape{tc.rows, 71});
         lutboost::KernelScratch scratch;
-        tc.backend->forwardTile(*arena, x.data(), tc.rows, y.data(),
-                                scratch, nullptr, nullptr, tc.encode);
+        banks.forwardTile(x.data(), tc.rows, y.data(), scratch, nullptr,
+                          nullptr);
         const int64_t before = g_heap_allocs.load();
-        tc.backend->forwardTile(*arena, x.data(), tc.rows, y.data(),
-                                scratch, nullptr, nullptr, tc.encode);
+        banks.forwardTile(x.data(), tc.rows, y.data(), scratch, nullptr,
+                          nullptr);
         EXPECT_EQ(g_heap_allocs.load() - before, 0)
-            << tc.backend->name() << " / "
+            << lutboost::tablePrecisionName(tc.table) << " / "
             << lutboost::encodePrecisionName(tc.encode)
             << " rows=" << tc.rows;
     }
@@ -833,15 +781,17 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
     }
 }
 
-// ---- Property: quantized banks account exactly for resident layouts ----
+// ---- Property: banks account exactly for what each tier allocates ------
 
 /**
- * int8ResidentBytes() / int4ResidentBytes() must equal the sum of the
- * layouts THIS host actually materialized (row-major plus whichever
- * capability-gated mirrors its SIMD level unlocks) — never an
- * unconditional all-layouts total. Also pins the INT4 bank's headline
- * footprint win: at c = 16 the packed bank plus its mirror must stay
- * at or under 0.55x the INT8 resident bytes.
+ * A bank's residentBytes() is exactly what its tier allocated, and its
+ * tableBytes() is the canonical row-major layout at every tier. At c = 16
+ * the INT8 bank holds the row-major table plus ONE chunk layout — the
+ * quad-interleaved VNNI layout on the VNNI tier, the 16-entry shuffle
+ * layout on the AVX2 / AVX-512 tiers, none on the generic tier — and the
+ * INT4 bank adds its shuffle layout on every SIMD tier. Also pins the
+ * INT4 bank's headline footprint win: at or under 0.55x the INT8 resident
+ * bytes on every tier.
  */
 TEST(QuantizedBankAccounting, ResidentBytesMatchMaterializedLayouts)
 {
@@ -852,10 +802,17 @@ TEST(QuantizedBankAccounting, ResidentBytesMatchMaterializedLayouts)
     lutboost::LutLinear layer(k, n, pq, /*bias=*/true, /*seed=*/77);
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    EXPECT_EQ(arena->int8ResidentBytes(), 0);
-    EXPECT_EQ(arena->int4ResidentBytes(), 0);
-    arena->ensureInt8Bank();
-    arena->ensureInt4Bank();
+    // Banks build lazily: a fresh arena holds none, so a plan pays only
+    // for the banks it reads.
+    for (const auto p : {lutboost::TablePrecision::Float32,
+                         lutboost::TablePrecision::Int8,
+                         lutboost::TablePrecision::Int4})
+        EXPECT_FALSE(arena->tableBankBuilt(p))
+            << lutboost::tablePrecisionName(p);
+    for (const auto p : {lutboost::EncodePrecision::Float32,
+                         lutboost::EncodePrecision::Int8})
+        EXPECT_FALSE(arena->encodeBankBuilt(p))
+            << lutboost::encodePrecisionName(p);
 
     const int64_t nc = arena->numSubspaces();
     const int64_t groups =
@@ -866,59 +823,104 @@ TEST(QuantizedBankAccounting, ResidentBytesMatchMaterializedLayouts)
         lutboost::LutTableArena::kInt8BlockCols;
     const int64_t scale_bytes =
         groups * blocks * static_cast<int64_t>(sizeof(float));
-    const util::SimdLevel level = util::simdLevel();
-    const bool shuffle = lutboost::simd::shuffleGatherSupported(level);
-    const bool vnni = lutboost::simd::vnniGatherSupported(level);
-
-    int64_t expect8 = nc * c * n + scale_bytes;    // row-major + scales
-    if (shuffle)
-        expect8 += nc * n * 16;                    // q_il mirror
-    if (vnni)
-        expect8 += ((nc + 3) / 4) * n * 64;        // q_quad mirror
-    EXPECT_EQ(arena->int8ResidentBytes(), expect8);
-    EXPECT_EQ(arena->int8TableBytes(), nc * c * n + scale_bytes);
-
     const int64_t half_n = (n + 1) / 2;
-    int64_t expect4 = nc * c * half_n + scale_bytes;
-    if (shuffle)
-        expect4 += nc * half_n * 16;               // q4_il mirror
-    EXPECT_EQ(arena->int4ResidentBytes(), expect4);
-    EXPECT_EQ(arena->int4TableBytes(), nc * c * half_n + scale_bytes);
+    const int64_t row_major8 = nc * c * n + scale_bytes;
+    const int64_t row_major4 = nc * c * half_n + scale_bytes;
 
-    // The acceptance headline: INT4 resident footprint <= 0.55x INT8.
-    EXPECT_LE(static_cast<double>(arena->int4ResidentBytes()),
-              0.55 * static_cast<double>(arena->int8ResidentBytes()));
+    for (const util::SimdLevel level : tiersUpToHost()) {
+        const auto int8 = lutboost::makeTableBank(
+            *arena, lutboost::TablePrecision::Int8, level);
+        const auto int4 = lutboost::makeTableBank(
+            *arena, lutboost::TablePrecision::Int4, level);
+        int64_t expect8 = row_major8, expect4 = row_major4;
+        if (level == util::SimdLevel::Avx512Vnni)
+            expect8 += ((nc + 3) / 4) * n * 64;     // q_quad only
+        else if (level != util::SimdLevel::Generic)
+            expect8 += nc * n * 16;                 // q_il only
+        if (level != util::SimdLevel::Generic)
+            expect4 += nc * half_n * 16;            // q4_il
+        const char *tier = util::simdLevelName(level);
+        EXPECT_EQ(int8->residentBytes(), expect8) << tier;
+        EXPECT_EQ(int8->tableBytes(), row_major8) << tier;
+        EXPECT_EQ(int4->residentBytes(), expect4) << tier;
+        EXPECT_EQ(int4->tableBytes(), row_major4) << tier;
+        // The acceptance headline: INT4 resident footprint <= 0.55x INT8.
+        EXPECT_LE(static_cast<double>(int4->residentBytes()),
+                  0.55 * static_cast<double>(int8->residentBytes()))
+            << tier;
+        if (level == util::simdLevel()) {
+            // Standalone banks of every tier leave the arena's unbuilt.
+            EXPECT_FALSE(
+                arena->tableBankBuilt(lutboost::TablePrecision::Int8));
+            EXPECT_FALSE(
+                arena->tableBankBuilt(lutboost::TablePrecision::Int4));
+            EXPECT_EQ(arena->tableBank(lutboost::TablePrecision::Int8)
+                          .residentBytes(),
+                      expect8);
+            EXPECT_TRUE(
+                arena->tableBankBuilt(lutboost::TablePrecision::Int8));
+            EXPECT_FALSE(
+                arena->tableBankBuilt(lutboost::TablePrecision::Int4));
+            EXPECT_EQ(arena->tableBank(lutboost::TablePrecision::Int4)
+                          .residentBytes(),
+                      expect4);
+        }
+    }
+    // The float banks read the arena's own source and allocate nothing.
+    EXPECT_EQ(
+        arena->tableBank(lutboost::TablePrecision::Float32).residentBytes(),
+        0);
+    EXPECT_EQ(
+        arena->tableBank(lutboost::TablePrecision::Float32).tableBytes(),
+        arena->sizeBytes());
+    EXPECT_EQ(arena->encodeBank(lutboost::EncodePrecision::Float32)
+                  .residentBytes(),
+              0);
 }
 
-/** Same accounting with c > 16: no shuffle mirrors on any host, so both
- * banks are row-major + scales only. */
+/** Same accounting with c > 16: no chunk kernel on any tier, so both
+ * table banks are row-major + scales only and the INT8 encode bank holds
+ * the row-major codebooks for the scalar scan. */
 TEST(QuantizedBankAccounting, NoMirrorLayoutsAboveSixteenCentroids)
 {
-    const int64_t k = 24, n = 33, c = 20;
+    const int64_t k = 24, n = 33, c = 20, v = 4;
     vq::PQConfig pq;
-    pq.v = 4;
+    pq.v = v;
     pq.c = c;
     lutboost::LutLinear layer(k, n, pq, /*bias=*/false, /*seed=*/78);
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    arena->ensureInt8Bank();
-    arena->ensureInt4Bank();
     const int64_t nc = arena->numSubspaces();
     const int64_t scale_bytes = static_cast<int64_t>(sizeof(float));
-    EXPECT_EQ(arena->int8ResidentBytes(), nc * c * n + scale_bytes);
-    EXPECT_EQ(arena->int4ResidentBytes(),
-              nc * c * ((n + 1) / 2) + scale_bytes);
+    const int64_t grid = nc * c * static_cast<int64_t>(sizeof(int32_t)) +
+                         2 * nc * static_cast<int64_t>(sizeof(float));
+    for (const util::SimdLevel level : tiersUpToHost()) {
+        const char *tier = util::simdLevelName(level);
+        const auto int8 = lutboost::makeTableBank(
+            *arena, lutboost::TablePrecision::Int8, level);
+        EXPECT_EQ(int8->residentBytes(), nc * c * n + scale_bytes) << tier;
+        EXPECT_EQ(int8->chunkRows(), 0) << tier;
+        EXPECT_EQ(lutboost::makeTableBank(*arena,
+                                          lutboost::TablePrecision::Int4,
+                                          level)
+                      ->residentBytes(),
+                  nc * c * ((n + 1) / 2) + scale_bytes)
+            << tier;
+        const auto encode = lutboost::makeEncodeBank(
+            *arena, lutboost::EncodePrecision::Int8, level);
+        EXPECT_EQ(encode->residentBytes(), nc * c * v + grid) << tier;
+        EXPECT_STREQ(encode->kernelName(), "int8-scalar") << tier;
+    }
 }
 
 /**
- * The INT8 ENCODE bank has its own accounting, strictly separate from
- * the gather banks': int8EncodeTableBytes() counts the
- * capability-independent scalar layout (shifted codes + padded norms +
- * grid), int8EncodeResidentBytes() adds the capability-gated quad
- * mirror, and neither ever leaks into int8ResidentBytes() /
- * int4ResidentBytes() (whose exact values other tests pin).
+ * The INT8 ENCODE bank: tableBytes() counts the host-independent scalar
+ * layout (shifted codes + padded norms + grid); residentBytes() counts
+ * what the tier built — the quad layout + norms + grid on SIMD tiers
+ * (no row-major codes), the row-major codes + norms + grid on the generic
+ * tier.
  */
-TEST(QuantizedBankAccounting, EncodeBankSeparateFromGatherBanks)
+TEST(QuantizedBankAccounting, EncodeBankHoldsOneLayoutPerTier)
 {
     const int64_t k = 52, c = 16;
     vq::PQConfig pq;
@@ -928,36 +930,75 @@ TEST(QuantizedBankAccounting, EncodeBankSeparateFromGatherBanks)
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
     EXPECT_TRUE(arena->int8EncodeSupported());
-    EXPECT_FALSE(arena->int8EncodeBankReady());
-    EXPECT_EQ(arena->int8EncodeTableBytes(), 0);
-    EXPECT_EQ(arena->int8EncodeResidentBytes(), 0);
-    arena->ensureInt8EncodeBank();
-    EXPECT_TRUE(arena->int8EncodeBankReady());
+    EXPECT_FALSE(arena->encodeBankBuilt(lutboost::EncodePrecision::Int8));
 
     const int64_t nc = arena->numSubspaces();
     const int64_t v = arena->subvectorLen();
     const int64_t norm_stride = std::max<int64_t>(c, 16);
-    const int64_t table =
-        nc * c * v +                                         // cs codes
+    const int64_t grid =
         nc * norm_stride * static_cast<int64_t>(sizeof(int32_t)) +
         2 * nc * static_cast<int64_t>(sizeof(float));        // lo + inv
-    EXPECT_EQ(arena->int8EncodeTableBytes(), table);
+    const int64_t table = nc * c * v + grid;                 // cs codes
+    for (const util::SimdLevel level : tiersUpToHost()) {
+        const auto bank = lutboost::makeEncodeBank(
+            *arena, lutboost::EncodePrecision::Int8, level);
+        const int64_t codes = level == util::SimdLevel::Generic
+                                  ? nc * c * v               // cs
+                                  : nc * ((v + 3) / 4) * 64; // cs_quad
+        EXPECT_EQ(bank->tableBytes(), table) << util::simdLevelName(level);
+        EXPECT_EQ(bank->residentBytes(), codes + grid)
+            << util::simdLevelName(level);
+        if (level == util::simdLevel()) {
+            EXPECT_FALSE(
+                arena->encodeBankBuilt(lutboost::EncodePrecision::Int8));
+            EXPECT_EQ(arena->encodeBank(lutboost::EncodePrecision::Int8)
+                          .residentBytes(),
+                      codes + grid);
+            EXPECT_TRUE(
+                arena->encodeBankBuilt(lutboost::EncodePrecision::Int8));
+        }
+    }
 
-    int64_t resident = table;
-    if (lutboost::simd::int8EncodeSupported(util::simdLevel()))
-        resident += nc * ((v + 3) / 4) * 64;                 // quad mirror
-    EXPECT_EQ(arena->int8EncodeResidentBytes(), resident);
+    // Building the ENCODE bank materializes no table bank.
+    for (const auto p : {lutboost::TablePrecision::Float32,
+                         lutboost::TablePrecision::Int8,
+                         lutboost::TablePrecision::Int4})
+        EXPECT_FALSE(arena->tableBankBuilt(p))
+            << lutboost::tablePrecisionName(p);
 
     // The encode sweep streams a fraction of the float transposed
     // codebooks it replaces (4 bytes/entry -> 1 + norm/grid overhead).
     EXPECT_LT(table, nc * c * v * 4);
+    EXPECT_EQ(
+        arena->encodeBank(lutboost::EncodePrecision::Float32).tableBytes(),
+        k * c * static_cast<int64_t>(sizeof(float)));
+}
 
-    // Building the ENCODE bank must not materialize (or be charged to)
-    // any GATHER bank.
-    EXPECT_EQ(arena->int8ResidentBytes(), 0);
-    EXPECT_EQ(arena->int4ResidentBytes(), 0);
-    EXPECT_FALSE(arena->int8BankReady());
-    EXPECT_FALSE(arena->int4BankReady());
+/** A bank for a tier above the running CPU (or the LUTDLA_SIMD cap) is
+ * refused at build time, naming both tiers. */
+TEST(QuantizedBankAccountingDeathTest, BankAboveHostTierIsRefused)
+{
+    const util::SimdLevel host = util::simdLevel();
+    if (host == util::SimdLevel::Avx512Vnni)
+        GTEST_SKIP() << "no tier above avx512-vnni; rerun with LUTDLA_SIMD "
+                        "capped to exercise the refusal";
+    const auto above = static_cast<util::SimdLevel>(static_cast<int>(host) + 1);
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    lutboost::LutLinear layer(16, 8, pq, /*bias=*/false, /*seed=*/80);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    const std::string message = std::string("needs ") +
+                                util::simdLevelName(above) +
+                                " but this CPU provides " +
+                                util::simdLevelName(host);
+    EXPECT_DEATH(lutboost::makeTableBank(
+                     *arena, lutboost::TablePrecision::Int8, above),
+                 message);
+    EXPECT_DEATH(lutboost::makeEncodeBank(
+                     *arena, lutboost::EncodePrecision::Int8, above),
+                 message);
 }
 
 // ---- Property: reference backend bit-exact on awkward shapes -----------
@@ -989,22 +1030,21 @@ TEST_P(AwkwardShapeServing, ReferenceBackendMatchesEvalForward)
     const auto arena = layer.inferenceArena();
     lutboost::KernelScratch scratch;
     Tensor y(Shape{rows, 9});
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
+    arena->encodeBank(lutboost::EncodePrecision::Float32)
+        .encodeBatch(x.data(), rows, scratch.codes, scratch.encode);
     EXPECT_EQ(scratch.codes.rows(), rows);
     EXPECT_EQ(scratch.codes.subspaces(), arena->numSubspaces());
-    lutboost::referenceBackend().gatherAccumulate(*arena, scratch,
-                                                  y.data());
+    arena->tableBank(lutboost::TablePrecision::Float32)
+        .gather(scratch.codes, 0, rows, y.data(), scratch.gather);
     EXPECT_TRUE(y.equals(reference))
         << "k=" << k << " v=" << v << " c=" << c << " rows=" << rows
         << " maxdiff=" << Tensor::maxAbsDiff(y, reference);
 
     // The quantized backend must stay finite and within the INT8 error
     // envelope on the same shapes (exactness is not required).
-    lutboost::quantizedBackend().prepare(*arena);
     Tensor q(Shape{rows, 9});
-    lutboost::quantizedBackend().gatherAccumulate(*arena, scratch,
-                                                  q.data());
+    arena->tableBank(lutboost::TablePrecision::Int8)
+        .gather(scratch.codes, 0, rows, q.data(), scratch.gather);
     double worst = 0.0, scale = 0.0;
     for (int64_t i = 0; i < q.numel(); ++i) {
         ASSERT_TRUE(std::isfinite(q.at(i)));
@@ -1051,7 +1091,6 @@ TEST_P(Int4ErrorEnvelope, QuantizationErrorBounded)
                               /*seed=*/static_cast<uint64_t>(k * 7 + c));
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    arena->ensureInt4Bank();
 
     Rng rng(101);
     Tensor x(Shape{rows, k});
@@ -1060,10 +1099,11 @@ TEST_P(Int4ErrorEnvelope, QuantizationErrorBounded)
     const Tensor reference = layer.forward(x, /*train=*/false);
 
     lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
+    arena->encodeBank(lutboost::EncodePrecision::Float32)
+        .encodeBatch(x.data(), rows, scratch.codes, scratch.encode);
     Tensor q(Shape{rows, 9});
-    arena->gatherAccumulateInt4(scratch.codes, q.data(), scratch.gather);
+    arena->tableBank(lutboost::TablePrecision::Int4)
+        .gather(scratch.codes, 0, rows, q.data(), scratch.gather);
     double worst = 0.0, scale = 0.0;
     for (int64_t i = 0; i < q.numel(); ++i) {
         ASSERT_TRUE(std::isfinite(q.at(i)));

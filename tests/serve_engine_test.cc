@@ -442,6 +442,74 @@ TEST(FrozenModel, CnnMatchesModelEvalBitExactAcrossPrecisions)
     }
 }
 
+/**
+ * Resident bytes the planned LUT stages of `model` hold, summed from the
+ * arenas and banks themselves: every stage's float arena plus the
+ * (table bank, encode bank) pair its plan bound.
+ */
+int64_t
+residentFromBanks(const serve::FrozenModel &model)
+{
+    int64_t total = 0;
+    const auto add = [&](const lutboost::LutTableArena &arena,
+                         const lutboost::KernelBackend &backend,
+                         lutboost::EncodePrecision encode) {
+        total += arena.sizeBytes() +
+                 arena.tableBank(backend.precision()).residentBytes() +
+                 arena.encodeBank(encode).residentBytes();
+    };
+    for (const serve::StagePtr &stage : model.stages()) {
+        if (const auto *gemm =
+                dynamic_cast<const serve::ArenaStage *>(stage.get()))
+            add(*gemm->arena(), gemm->backend(), gemm->encodePrecision());
+        else if (const auto *conv =
+                     dynamic_cast<const serve::ConvStage *>(stage.get()))
+            add(*conv->arena(), conv->backend(), conv->encodePrecision());
+    }
+    return total;
+}
+
+TEST(FrozenModel, ResidentBytesCountFloatArenaPlusBoundBanks)
+{
+    nn::LayerPtr model = makeFrozenCnn(vq::LutPrecision{});
+    auto frozen =
+        serve::FrozenModel::fromModel(model, serve::ServeInputShape{8, 8});
+    ASSERT_TRUE(frozen.ok()) << frozen.status().toString();
+    std::vector<sim::GemmShape> gemms{{4, 32, 24, "a"}, {4, 20, 12, "b"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    auto trace = serve::FrozenModel::fromTrace(gemms, pq);
+    ASSERT_TRUE(trace.ok());
+
+    serve::PlanOptions int8, int4_int8enc, mixed;
+    int8.table_precision = serve::TablePrecision::Int8;
+    int4_int8enc.table_precision = serve::TablePrecision::Int4;
+    int4_int8enc.encode_precision = serve::EncodePrecision::Int8;
+    mixed.stage_precision = {serve::TablePrecision::Int4,
+                             serve::TablePrecision::Float32};
+    mixed.stage_encode_precision = {serve::EncodePrecision::Float32,
+                                    serve::EncodePrecision::Int8};
+    for (const serve::FrozenModel *base : {&*frozen, &*trace}) {
+        // The float plan holds the arenas and nothing else.
+        int64_t arena_bytes = 0;
+        for (const serve::StagePtr &stage : base->stages())
+            arena_bytes += stage->tableBytes();
+        EXPECT_EQ(base->residentBytes(), arena_bytes);
+        EXPECT_EQ(base->residentBytes(), residentFromBanks(*base));
+        for (const serve::PlanOptions *plan :
+             {&int8, &int4_int8enc, &mixed}) {
+            const serve::FrozenModel planned = base->withPlan(*plan);
+            EXPECT_EQ(planned.residentBytes(), residentFromBanks(planned))
+                << planned.describe();
+            // Quantized banks come on top of the float arenas every plan
+            // keeps allocated.
+            EXPECT_GT(planned.residentBytes(), arena_bytes)
+                << planned.describe();
+        }
+    }
+}
+
 TEST(FrozenModel, CnnWithNormAndGlobalPoolLowersBitExact)
 {
     vq::PQConfig pq;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -101,9 +102,10 @@ TEST(TiledExecutor, TraceSweepBitExactAcrossTileSizesAndPrecisions)
 }
 
 // ---------------------------------------------------------------------------
-// Forced gather variants: per-tile encode + gather (exactly what the
-// executor runs inside a segment) is bit-identical to the whole-batch
-// sweep for EVERY variant, not just the auto-resolved one.
+// Every gather tier: per-tile encode + gather (exactly what the executor
+// runs inside a segment) is bit-identical to the whole-batch sweep for a
+// bank built for EVERY tier at or below the host's, not just the running
+// one.
 
 TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
 {
@@ -114,76 +116,50 @@ TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
     lutboost::LutLinear layer(k, n, pq, /*bias=*/true, /*seed=*/5);
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
-    arena->ensureInt8Bank();
-    arena->ensureInt4Bank();
     const Tensor x = randomRows(rows, k, 23);
 
+    const lutboost::EncodeBank &float_encode =
+        arena->encodeBank(lutboost::EncodePrecision::Float32);
     lutboost::KernelScratch full;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows, full);
+    float_encode.encodeBatch(x.data(), rows, full.codes, full.encode);
 
-    const util::SimdLevel level = util::simdLevel();
-    const int64_t chunk = lutboost::simd::shuffleGatherChunkRows(level);
+    // One tile-size set for every tier: each tier's chunk boundary
+    // ({chunk, chunk + 1}: 32/33 on AVX2, 64/65 on AVX-512) is checked
+    // against every tier's banks, so the lower tiers' gathers also meet
+    // the host's chunk seams.
     std::vector<int64_t> tile_sizes{1, 33};
-    if (chunk > 0) {
-        tile_sizes.push_back(chunk);
-        tile_sizes.push_back(chunk + 1);
+    for (int tier = 0; tier <= static_cast<int>(util::simdLevel()); ++tier) {
+        const int64_t chunk = lutboost::simd::shuffleGatherChunkRows(
+            static_cast<util::SimdLevel>(tier));
+        for (const int64_t tile : {chunk, chunk + 1})
+            if (chunk > 0 && std::find(tile_sizes.begin(), tile_sizes.end(),
+                                       tile) == tile_sizes.end())
+                tile_sizes.push_back(tile);
     }
 
-    std::vector<lutboost::Int8GatherVariant> int8_variants{
-        lutboost::Int8GatherVariant::Scalar};
-    if (level >= util::SimdLevel::Avx2)
-        int8_variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        int8_variants.push_back(
-            lutboost::Int8GatherVariant::ShuffleAvx512);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        int8_variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
-    for (const auto variant : int8_variants) {
-        Tensor whole(Shape{rows, n});
-        arena->gatherAccumulateInt8(full.codes, whole.data(), full.gather,
-                                    variant);
-        for (const int64_t tile : tile_sizes) {
-            Tensor tiled(Shape{rows, n});
-            lutboost::KernelScratch local;
-            for (int64_t r0 = 0; r0 < rows; r0 += tile) {
-                const int64_t rn = std::min(tile, rows - r0);
-                lutboost::referenceBackend().encodeBatch(
-                    *arena, x.data() + r0 * k, rn, local);
-                arena->gatherAccumulateInt8(local.codes,
-                                            tiled.data() + r0 * n,
-                                            local.gather, variant);
+    for (int tier = 0; tier <= static_cast<int>(util::simdLevel()); ++tier) {
+        const auto level = static_cast<util::SimdLevel>(tier);
+        for (const auto precision : {lutboost::TablePrecision::Int8,
+                                     lutboost::TablePrecision::Int4}) {
+            const auto bank =
+                lutboost::makeTableBank(*arena, precision, level);
+            Tensor whole(Shape{rows, n});
+            bank->gather(full.codes, 0, rows, whole.data(), full.gather);
+            for (const int64_t tile : tile_sizes) {
+                Tensor tiled(Shape{rows, n});
+                lutboost::KernelScratch local;
+                for (int64_t r0 = 0; r0 < rows; r0 += tile) {
+                    const int64_t rn = std::min(tile, rows - r0);
+                    float_encode.encodeBatch(x.data() + r0 * k, rn,
+                                             local.codes, local.encode);
+                    bank->gather(local.codes, 0, rn, tiled.data() + r0 * n,
+                                 local.gather);
+                }
+                EXPECT_TRUE(tiled.equals(whole))
+                    << bank->kernelName() << " at "
+                    << util::simdLevelName(level) << " tile=" << tile
+                    << " diverged under per-tile sweep";
             }
-            EXPECT_TRUE(tiled.equals(whole))
-                << lutboost::LutTableArena::int8GatherVariantName(variant)
-                << " tile=" << tile << " diverged under per-tile sweep";
-        }
-    }
-
-    std::vector<lutboost::Int4GatherVariant> int4_variants{
-        lutboost::Int4GatherVariant::Scalar};
-    if (level >= util::SimdLevel::Avx2)
-        int4_variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        int4_variants.push_back(
-            lutboost::Int4GatherVariant::ShuffleAvx512);
-    for (const auto variant : int4_variants) {
-        Tensor whole(Shape{rows, n});
-        arena->gatherAccumulateInt4(full.codes, whole.data(), full.gather,
-                                    variant);
-        for (const int64_t tile : tile_sizes) {
-            Tensor tiled(Shape{rows, n});
-            lutboost::KernelScratch local;
-            for (int64_t r0 = 0; r0 < rows; r0 += tile) {
-                const int64_t rn = std::min(tile, rows - r0);
-                lutboost::referenceBackend().encodeBatch(
-                    *arena, x.data() + r0 * k, rn, local);
-                arena->gatherAccumulateInt4(local.codes,
-                                            tiled.data() + r0 * n,
-                                            local.gather, variant);
-            }
-            EXPECT_TRUE(tiled.equals(whole))
-                << lutboost::LutTableArena::int4GatherVariantName(variant)
-                << " tile=" << tile << " diverged under per-tile sweep";
         }
     }
 }

@@ -508,101 +508,61 @@ TEST(FrozenModel, SoftmaxHeadLowersBitExact)
 // ---------------------------------------------------------------------------
 // INT8 data plane over the attention arenas.
 
-TEST(AttentionArenas, Int8GatherVariantsBitIdenticalAcrossSimdTiers)
+/**
+ * Gather every transformer LUT arena through a `precision` bank built for
+ * each tier at or below the host's, and expect the generic tier's bits
+ * (the same contract the property battery proves, here over the arenas
+ * attention actually serves from, at a ragged row count).
+ */
+void
+expectAttentionArenaTiersBitIdentical(lutboost::TablePrecision precision,
+                                      uint64_t seed)
 {
-    // Every SIMD tier's forced INT8 gather over the transformer's
-    // projection arenas must match the scalar variant bit for bit (the
-    // same contract the generic property test proves, here over the
-    // arenas attention actually serves from, at a ragged row count).
     nn::LayerPtr model =
         makeLutTransformer(/*seq_len=*/65, /*heads=*/4, {}, 121);
-
-    std::vector<lutboost::Int8GatherVariant> variants;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx512);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-
     int64_t checked = 0;
     for (lutboost::LutLinear *layer : lutboost::findLutLayers(model)) {
         const auto arena = layer->inferenceArena();
         ASSERT_NE(arena, nullptr);
-        arena->ensureInt8Bank();
         const int64_t rows = 65, n = arena->outFeatures();
         const Tensor x = randomRows(rows, arena->inFeatures(),
-                                    static_cast<uint64_t>(122 + checked));
+                                    seed + static_cast<uint64_t>(checked));
         lutboost::KernelScratch scratch;
-        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                                 scratch);
+        arena->encodeBank(lutboost::EncodePrecision::Float32)
+            .encodeBatch(x.data(), rows, scratch.codes, scratch.encode);
         Tensor scalar(Shape{rows, n});
-        arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
-                                    scratch.gather,
-                                    lutboost::Int8GatherVariant::Scalar);
-        for (const auto variant : variants) {
-            Tensor shuffled(Shape{rows, n});
-            arena->gatherAccumulateInt8(scratch.codes, shuffled.data(),
-                                        scratch.gather, variant);
-            EXPECT_TRUE(shuffled.equals(scalar))
-                << lutboost::LutTableArena::int8GatherVariantName(variant)
-                << " diverged on arena " << checked << " maxdiff="
-                << Tensor::maxAbsDiff(shuffled, scalar);
+        lutboost::makeTableBank(*arena, precision, util::SimdLevel::Generic)
+            ->gather(scratch.codes, 0, rows, scalar.data(), scratch.gather);
+        for (int tier = 0; tier <= static_cast<int>(util::simdLevel());
+             ++tier) {
+            const auto level = static_cast<util::SimdLevel>(tier);
+            const auto bank =
+                lutboost::makeTableBank(*arena, precision, level);
+            Tensor got(Shape{rows, n});
+            bank->gather(scratch.codes, 0, rows, got.data(), scratch.gather);
+            EXPECT_TRUE(got.equals(scalar))
+                << bank->kernelName() << " at "
+                << util::simdLevelName(level) << " diverged on arena "
+                << checked << " maxdiff=" << Tensor::maxAbsDiff(got, scalar);
         }
         ++checked;
     }
     EXPECT_EQ(checked, 7) << "embedding + q/k/v/o + 2 FFN arenas";
 }
 
+TEST(AttentionArenas, Int8GatherVariantsBitIdenticalAcrossSimdTiers)
+{
+    expectAttentionArenaTiersBitIdentical(lutboost::TablePrecision::Int8,
+                                          122);
+}
+
 TEST(AttentionArenas, Int4GatherVariantsBitIdenticalAcrossSimdTiers)
 {
-    // The INT4 mirror of the test above: every SIMD tier's forced
-    // nibble-packed gather over the transformer's projection arenas
-    // must match the scalar sweep bit for bit (one unpack-and-shift
-    // per chunk on top of the same VPSHUFB path; no VNNI tier — the
-    // dot-product instruction would mix the two nibble planes).
-    nn::LayerPtr model =
-        makeLutTransformer(/*seq_len=*/65, /*heads=*/4, {}, 121);
-
-    std::vector<lutboost::Int4GatherVariant> variants;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-
-    int64_t checked = 0;
-    for (lutboost::LutLinear *layer : lutboost::findLutLayers(model)) {
-        const auto arena = layer->inferenceArena();
-        ASSERT_NE(arena, nullptr);
-        arena->ensureInt4Bank();
-        const int64_t rows = 65, n = arena->outFeatures();
-        const Tensor x = randomRows(rows, arena->inFeatures(),
-                                    static_cast<uint64_t>(222 + checked));
-        lutboost::KernelScratch scratch;
-        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                                 scratch);
-        Tensor scalar(Shape{rows, n});
-        arena->gatherAccumulateInt4(scratch.codes, scalar.data(),
-                                    scratch.gather,
-                                    lutboost::Int4GatherVariant::Scalar);
-        for (const auto variant : variants) {
-            Tensor shuffled(Shape{rows, n});
-            arena->gatherAccumulateInt4(scratch.codes, shuffled.data(),
-                                        scratch.gather, variant);
-            EXPECT_TRUE(shuffled.equals(scalar))
-                << lutboost::LutTableArena::int4GatherVariantName(variant)
-                << " diverged on arena " << checked << " maxdiff="
-                << Tensor::maxAbsDiff(shuffled, scalar);
-        }
-        ++checked;
-    }
-    EXPECT_EQ(checked, 7) << "embedding + q/k/v/o + 2 FFN arenas";
+    // The INT4 bank has no VNNI kernel (the dot-product instruction
+    // would mix the two nibble planes), so its VNNI tier runs the
+    // AVX-512 shuffle; it must still match the generic sweep.
+    expectAttentionArenaTiersBitIdentical(lutboost::TablePrecision::Int4,
+                                          222);
 }
 
 TEST(FrozenModel, QuantizedTransformerPlanDeterministicWithinEnvelope)
@@ -642,6 +602,41 @@ TEST(FrozenModel, QuantizedTransformerPlanDeterministicWithinEnvelope)
 
     // Determinism: the quantized plan answers the same bits every time.
     EXPECT_TRUE(quantized->forwardBatch(x).equals(quant));
+}
+
+TEST(AttentionArenas, ResidentBytesCountAllFourArenasAndBanks)
+{
+    // An attention stage binds one (table bank, encode bank) pair per
+    // projection arena; its resident bytes are the four float arenas
+    // plus those eight banks' allocations.
+    nn::LayerPtr model =
+        makeLutTransformer(/*seq_len=*/16, /*heads=*/4, {}, 141);
+    serve::PlanOptions plan;
+    plan.table_precision = serve::TablePrecision::Int4;
+    plan.encode_precision = serve::EncodePrecision::Int8;
+    auto frozen = serve::FrozenModel::fromModel(model, {}, plan);
+    ASSERT_TRUE(frozen.ok()) << frozen.status().toString();
+    int64_t attention_stages = 0;
+    for (const serve::StagePtr &stage : frozen->stages()) {
+        const auto *attn =
+            dynamic_cast<const serve::AttentionStage *>(stage.get());
+        if (attn == nullptr)
+            continue;
+        ++attention_stages;
+        EXPECT_EQ(attn->encodePrecision(), serve::EncodePrecision::Int8);
+        int64_t want = 0;
+        for (const auto *arena : {&attn->arenas().q, &attn->arenas().k,
+                                  &attn->arenas().v, &attn->arenas().o})
+            want += (*arena)->sizeBytes() +
+                    (*arena)
+                        ->tableBank(attn->backend().precision())
+                        .residentBytes() +
+                    (*arena)
+                        ->encodeBank(attn->encodePrecision())
+                        .residentBytes();
+        EXPECT_EQ(attn->residentBytes(), want);
+    }
+    EXPECT_EQ(attention_stages, 1);
 }
 
 } // namespace
