@@ -1,8 +1,10 @@
 #include "api/artifacts.h"
 
+#include <limits>
 #include <sstream>
 
 #include "lutboost/serialize.h"
+#include "serve/frozen_model.h"
 
 namespace lutdla::api {
 
@@ -233,6 +235,14 @@ loadArtifacts(const std::string &path)
         if (!readGemm(in, g))
             return Status::ioError("truncated GEMM trace in '" + path +
                                    "'");
+
+    // A corrupt trace fails here with a typed Status, not later as a
+    // bad_alloc or a multi-GB synthetic layer in the engine builders.
+    if (!a.gemms.empty())
+        if (Status status = serve::FrozenModel::validateTrace(
+                a.gemms, a.pq, std::numeric_limits<int64_t>::max());
+            !status.ok())
+            return status;
 
     if (!in.u64(flag))
         return Status::ioError("truncated timing block in '" + path + "'");

@@ -11,23 +11,46 @@ namespace lutdla::api {
 
 namespace {
 
+/** The plan a model is lowered under: the caller's, or with auto_tune
+ * its float base, so the tuner keeps its float reference and the tuned
+ * plan builds only the banks it binds. */
+serve::PlanOptions
+loweringPlan(const ServeOptions &options)
+{
+    serve::PlanOptions plan = options.plan;
+    if (options.auto_tune) {
+        plan.table_precision = serve::TablePrecision::Float32;
+        plan.stage_precision.clear();
+        plan.encode_precision = serve::EncodePrecision::Float32;
+        plan.stage_encode_precision.clear();
+    }
+    return plan;
+}
+
 /** Apply the mixed-precision auto-tuner when options request it: run
  * the greedy descent on the lowered model and replan it with the
  * winning per-stage assignment (arenas shared, so the final replan is
- * cheap and every already-quantized bank is reused). */
-serve::FrozenModel
-maybeAutoTune(serve::FrozenModel model, const ServeOptions &options)
+ * cheap and every already-quantized bank is reused). A trace model is
+ * then frozen: the stages the tuned plan quantized release their float
+ * tables. */
+Result<serve::FrozenModel>
+maybeAutoTune(serve::FrozenModel model, const ServeOptions &options,
+              bool trace)
 {
     if (!options.auto_tune)
         return model;
     const serve::AutoTuneResult tuned = serve::autoTunePrecision(
         model, options.plan, options.auto_tune_options);
-    serve::PlanOptions plan = options.plan;
-    plan.table_precision = serve::TablePrecision::Float32;
+    serve::PlanOptions plan = loweringPlan(options);
     plan.stage_precision = tuned.stage_precision;
-    plan.encode_precision = serve::EncodePrecision::Float32;
     plan.stage_encode_precision = tuned.stage_encode_precision;
-    return model.withPlan(plan);
+    serve::FrozenModel deployed = model.withPlan(plan);
+    if (!trace)
+        return deployed;
+    model = serve::FrozenModel();  // it reads what the freeze releases
+    if (Status status = deployed.freeze(); !status.ok())
+        return status;
+    return deployed;
 }
 
 } // namespace
@@ -47,11 +70,13 @@ makeEngine(const nn::LayerPtr &model, const ServeOptions &options)
         if (!layer->inferenceLutReady())
             layer->refreshInferenceLut();
     Result<serve::FrozenModel> frozen = serve::FrozenModel::fromModel(
-        model, options.input_shape, options.plan);
+        model, options.input_shape, loweringPlan(options));
     if (!frozen.ok())
         return frozen.status();
-    return serve::InferenceEngine::create(
-        maybeAutoTune(frozen.take(), options), options.engine);
+    frozen = maybeAutoTune(frozen.take(), options, false);
+    if (!frozen.ok())
+        return frozen.status();
+    return serve::InferenceEngine::create(frozen.take(), options.engine);
 }
 
 Result<EngineHandle>
@@ -72,11 +97,13 @@ makeTraceEngine(const std::vector<sim::GemmShape> &gemms,
     if (Status status = validatePqConfig(pq); !status.ok())
         return status;
     Result<serve::FrozenModel> frozen = serve::FrozenModel::fromTrace(
-        gemms, pq, precision, seed, options.plan);
+        gemms, pq, precision, seed, loweringPlan(options));
     if (!frozen.ok())
         return frozen.status();
-    return serve::InferenceEngine::create(
-        maybeAutoTune(frozen.take(), options), options.engine);
+    frozen = maybeAutoTune(frozen.take(), options, true);
+    if (!frozen.ok())
+        return frozen.status();
+    return serve::InferenceEngine::create(frozen.take(), options.engine);
 }
 
 Result<EngineHandle>
@@ -118,11 +145,13 @@ publishModel(const FrontDoorHandle &door, const std::string &name,
         if (!layer->inferenceLutReady())
             layer->refreshInferenceLut();
     Result<serve::FrozenModel> frozen = serve::FrozenModel::fromModel(
-        model, options.input_shape, options.plan);
+        model, options.input_shape, loweringPlan(options));
     if (!frozen.ok())
         return frozen.status();
-    return door->publish(name, maybeAutoTune(frozen.take(), options),
-                         options.slo);
+    frozen = maybeAutoTune(frozen.take(), options, false);
+    if (!frozen.ok())
+        return frozen.status();
+    return door->publish(name, frozen.take(), options.slo);
 }
 
 Result<uint64_t>
@@ -138,11 +167,13 @@ publishTraceModel(const FrontDoorHandle &door, const std::string &name,
     if (Status status = validatePqConfig(pq); !status.ok())
         return status;
     Result<serve::FrozenModel> frozen = serve::FrozenModel::fromTrace(
-        gemms, pq, precision, seed, options.plan);
+        gemms, pq, precision, seed, loweringPlan(options));
     if (!frozen.ok())
         return frozen.status();
-    return door->publish(name, maybeAutoTune(frozen.take(), options),
-                         options.slo);
+    frozen = maybeAutoTune(frozen.take(), options, true);
+    if (!frozen.ok())
+        return frozen.status();
+    return door->publish(name, frozen.take(), options.slo);
 }
 
 Result<EngineHandle>

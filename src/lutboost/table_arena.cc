@@ -8,7 +8,7 @@
 namespace lutdla::lutboost {
 
 LutTableArena::LutTableArena(const vq::ProductQuantizer &pq,
-                             const vq::LookupTable &lut, const Tensor *bias,
+                             vq::LookupTable lut, const Tensor *bias,
                              bool bf16_inputs)
     : in_features_(pq.featureDim()),
       out_features_(lut.outDim()),
@@ -27,30 +27,29 @@ LutTableArena::LutTableArena(const vq::ProductQuantizer &pq,
         LUTDLA_CHECK(bias->numel() == out_features_,
                      "bias width ", bias->numel(), " != N ", out_features_);
 
-    const size_t codebook_floats = static_cast<size_t>(
-        num_subspaces_ * num_centroids_ * subvector_len_);
-    const size_t table_floats = static_cast<size_t>(
-        num_subspaces_ * num_centroids_ * out_features_);
-    table_offset_ = codebook_floats;
-    bias_offset_ = codebook_floats + table_floats;
-    data_.resize(bias_offset_ +
-                 (has_bias_ ? static_cast<size_t>(out_features_) : 0));
-
     // Codebooks land transposed ([v, c] per subspace): the encode kernel
     // walks centroids contiguously for a fixed subvector element.
+    codebooks_.resize(static_cast<size_t>(num_subspaces_ * num_centroids_ *
+                                          subvector_len_));
     for (int64_t s = 0; s < num_subspaces_; ++s) {
         const Tensor &cb = pq.codebook(s);
-        float *dst = data_.data() + s * num_centroids_ * subvector_len_;
+        float *dst = codebooks_.data() + s * num_centroids_ * subvector_len_;
         for (int64_t j = 0; j < num_centroids_; ++j)
             for (int64_t t = 0; t < subvector_len_; ++t)
                 dst[t * num_centroids_ + j] = cb.at(j, t);
     }
-    const Tensor &table = lut.table();
-    std::copy(table.data(), table.data() + table.numel(),
-              data_.data() + table_offset_);
+    table_ = std::move(lut).takeTable();
     if (has_bias_)
-        std::copy(bias->data(), bias->data() + out_features_,
-                  data_.data() + bias_offset_);
+        bias_.assign(bias->data(), bias->data() + out_features_);
+}
+
+int64_t
+LutTableArena::sourceBytes() const
+{
+    return (num_subspaces_ * num_centroids_ *
+                (subvector_len_ + out_features_) +
+            (has_bias_ ? out_features_ : 0)) *
+           static_cast<int64_t>(sizeof(float));
 }
 
 bool
@@ -66,6 +65,13 @@ const TableBank &
 LutTableArena::tableBank(TablePrecision precision) const
 {
     const auto i = static_cast<size_t>(precision);
+    if (frozen_) {
+        LUTDLA_CHECK(table_banks_[i] != nullptr, "the ",
+                     tablePrecisionName(precision),
+                     " table bank is gone: the deployment freeze kept only "
+                     "the bank its plan bound");
+        return *table_banks_[i];
+    }
     std::call_once(table_once_[i], [&] {
         table_banks_[i] = makeTableBank(*this, precision);
         table_built_[i].store(true, std::memory_order_release);
@@ -84,6 +90,13 @@ const EncodeBank &
 LutTableArena::encodeBank(EncodePrecision precision) const
 {
     const auto i = static_cast<size_t>(precision);
+    if (frozen_) {
+        LUTDLA_CHECK(encode_banks_[i] != nullptr, "the ",
+                     encodePrecisionName(precision),
+                     " encode bank is gone: the deployment freeze kept "
+                     "only the bank its plan bound");
+        return *encode_banks_[i];
+    }
     std::call_once(encode_once_[i], [&] {
         encode_banks_[i] = makeEncodeBank(*this, precision);
         encode_built_[i].store(true, std::memory_order_release);
@@ -96,6 +109,30 @@ LutTableArena::encodeBankBuilt(EncodePrecision precision) const
 {
     return encode_built_[static_cast<size_t>(precision)].load(
         std::memory_order_acquire);
+}
+
+void
+LutTableArena::freeze(TablePrecision table, EncodePrecision encode)
+{
+    LUTDLA_CHECK(!frozen_, "the arena is already frozen");
+    LUTDLA_CHECK(tableBankBuilt(table) && encodeBankBuilt(encode),
+                 "freeze keeps the bound banks; build them first");
+    for (size_t i = 0; i < 3; ++i)
+        if (i != static_cast<size_t>(table)) {
+            table_banks_[i].reset();
+            table_built_[i].store(false, std::memory_order_release);
+        }
+    for (size_t i = 0; i < 2; ++i)
+        if (i != static_cast<size_t>(encode)) {
+            encode_banks_[i].reset();
+            encode_built_[i].store(false, std::memory_order_release);
+        }
+    // swap, not clear(): clear() keeps the capacity allocated.
+    if (table != TablePrecision::Float32)
+        std::vector<float>().swap(table_);
+    if (encode != EncodePrecision::Float32)
+        std::vector<float>().swap(codebooks_);
+    frozen_ = true;
 }
 
 const float *
@@ -137,7 +174,7 @@ LutTableArena::addBias(float *yb, int64_t bn) const
     if (!has_bias_)
         return;
     const int64_t n = out_features_;
-    const float *__restrict__ bias = data_.data() + bias_offset_;
+    const float *__restrict__ bias = bias_.data();
     for (int64_t r = 0; r < bn; ++r) {
         float *__restrict__ yr = yb + r * n;
         for (int64_t col = 0; col < n; ++col)

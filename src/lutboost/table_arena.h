@@ -3,16 +3,16 @@
 
 /**
  * @file
- * LutTableArena: one frozen LUT layer packed into a single contiguous
- * allocation — per-subspace codebooks, the precomputed PSum table, and the
- * bias, in that order — plus one lazily built table bank and encode bank
- * per precision (lutboost/table_bank.h).
+ * LutTableArena: one frozen LUT layer's float source — per-subspace
+ * codebooks, the precomputed PSum table and the bias, each in its own
+ * flat buffer — plus one lazily built table bank and encode bank per
+ * precision (lutboost/table_bank.h).
  *
  * Rationale: LutLinear's training-time state scatters the tables the
  * inference path needs across several heap objects (one Tensor per codebook
  * inside ProductQuantizer, a separate table Tensor inside LookupTable, the
  * bias parameter). Serving wants the opposite: everything the gather loop
- * touches in one flat arena so a batch of rows sweeps each subspace's table
+ * touches in one flat table so a batch of rows sweeps each subspace's table
  * bank while it is hot in L1/L2, instead of chasing per-layer allocations
  * row by row. The arena is immutable after construction (the banks are
  * built once each under std::call_once), which is what makes its kernels
@@ -22,6 +22,13 @@
  * on it is a bank. tableBank(p) / encodeBank(p) build the bank of one
  * precision for the running SIMD tier on first use. Tests and benches that
  * compare tiers build their own banks with makeTableBank / makeEncodeBank.
+ *
+ * Deployment freeze: once a plan has bound its (table, encode) pair, the
+ * quantized banks read nothing from the float PSum table, and the INT8
+ * encode bank reads nothing from the codebooks. freeze() keeps only the
+ * bound pair and releases the float buffers no bound bank reads (the bias
+ * always stays), one way: a LUT accelerator's table memory holds the
+ * quantized partial sums, never the float tables they came from.
  *
  * Numerics contract: `forwardBatch` (the float encode bank + float table
  * bank) is bit-exact with the reference eval-mode path in
@@ -45,7 +52,8 @@
 
 namespace lutdla::lutboost {
 
-/** One frozen LUT layer in a single flat allocation. Immutable. */
+/** One frozen LUT layer's float source and banks. Immutable, except for
+ * the one-way freeze(). */
 class LutTableArena
 {
   public:
@@ -56,13 +64,15 @@ class LutTableArena
      * @param pq          Trained quantizer; codebooks are copied as-is, so
      *                    any BF16 rounding must already be applied.
      * @param lut         Precomputed PSum table over the same quantizer
-     *                    (already INT8-round-tripped when requested).
+     *                    (already INT8-round-tripped when requested); the
+     *                    arena takes its buffer, so pass an rvalue to skip
+     *                    the copy.
      * @param bias        Optional [N] bias added after accumulation; may be
      *                    null.
      * @param bf16_inputs When true, input rows are rounded to BF16 before
      *                    encoding, mirroring LutPrecision::bf16_similarity.
      */
-    LutTableArena(const vq::ProductQuantizer &pq, const vq::LookupTable &lut,
+    LutTableArena(const vq::ProductQuantizer &pq, vq::LookupTable lut,
                   const Tensor *bias, bool bf16_inputs);
 
     /** Input width K this layer consumes. */
@@ -86,12 +96,18 @@ class LutTableArena
     /** True when a bias row is packed into the arena. */
     bool hasBias() const { return has_bias_; }
 
-    /** Total arena footprint in bytes (codebooks + table + bias): the
-     * float source every plan keeps allocated. */
+    /** Bytes of the float source the arena still holds (codebooks +
+     * PSum table + bias, less what freeze() released). */
     int64_t sizeBytes() const
     {
-        return static_cast<int64_t>(data_.size() * sizeof(float));
+        return static_cast<int64_t>(
+            (codebooks_.size() + table_.size() + bias_.size()) *
+            sizeof(float));
     }
+
+    /** Bytes of the whole float source as built, freeze or not: the float
+     * table bank's canonical traffic. */
+    int64_t sourceBytes() const;
 
     /** Distance metric the encode argmin uses. */
     vq::Metric metric() const { return metric_; }
@@ -119,6 +135,20 @@ class LutTableArena
     /** True once encodeBank(`precision`) has been built. */
     bool encodeBankBuilt(EncodePrecision precision) const;
 
+    /**
+     * Deployment freeze, one way: keep only the (`table`, `encode`) bank
+     * pair (both must be built) and release every other bank, the float
+     * PSum table unless `table` is Float32, and the codebooks unless
+     * `encode` is Float32. The bias stays. The released buffers are
+     * really freed, so sizeBytes() drops. Afterwards tableBank() /
+     * encodeBank() of any other precision panics. Not thread-safe: call
+     * it before the arena serves, with no other bank user alive.
+     */
+    void freeze(TablePrecision table, EncodePrecision encode);
+
+    /** True once freeze() has run. */
+    bool frozen() const { return frozen_; }
+
     // ---- Raw views of the float source, for the banks -----------------
 
     /**
@@ -129,15 +159,14 @@ class LutTableArena
     const float *
     codebookT(int64_t s) const
     {
-        return data_.data() + s * num_centroids_ * subvector_len_;
+        return codebooks_.data() + s * num_centroids_ * subvector_len_;
     }
 
     /** PSum table row of (subspace s, centroid j): N floats. */
     const float *
     entry(int64_t s, int64_t j) const
     {
-        return data_.data() + table_offset_ +
-               (s * num_centroids_ + j) * out_features_;
+        return table_.data() + (s * num_centroids_ + j) * out_features_;
     }
 
     /** Add the packed bias row to `bn` output rows (no-op without bias). */
@@ -234,14 +263,15 @@ class LutTableArena
     vq::Metric metric_;
     bool bf16_inputs_;
     bool has_bias_;
-    size_t table_offset_;
-    size_t bias_offset_;
-    std::vector<float> data_;  ///< [codebooks | psum table | bias]
+    bool frozen_ = false;
+    std::vector<float> codebooks_;  ///< [Nc, v, c] transposed codebooks
+    std::vector<float> table_;      ///< [Nc, c, N] float PSum table
+    std::vector<float> bias_;       ///< [N], empty without bias
 
     // One lazily built bank per precision: logically-immutable caches,
     // each built at most once under its flag (the planner triggers them
     // eagerly). Independent — a plan serving only one precision never
-    // materializes another bank.
+    // materializes another bank. freeze() resets every unbound one.
     mutable std::once_flag table_once_[3];
     mutable std::unique_ptr<TableBank> table_banks_[3];
     mutable std::atomic<bool> table_built_[3] = {};

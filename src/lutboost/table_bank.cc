@@ -52,15 +52,8 @@ struct CodeSink
     void
     commit(int64_t s, int64_t rows) const
     {
-        if (codes == nullptr)
-            return;
-        // Copy the members out first: the packed byte stores may alias
-        // this sink, so reading them through `this` reloads every row.
-        vq::CodeBuffer &out = *codes;
-        const int64_t r0 = row0;
-        const uint8_t *plane = lanes;
-        for (int64_t i = 0; i < rows; ++i)
-            out.set(r0 + i, s, plane[i]);
+        if (codes != nullptr)
+            codes->setPlane(row0, s, lanes, rows);
     }
     void
     set(int64_t i, int64_t s, int32_t code) const
@@ -397,7 +390,7 @@ class FloatTableBank final : public TableBank
     {
     }
 
-    int64_t tableBytes() const override { return arena_.sizeBytes(); }
+    int64_t tableBytes() const override { return arena_.sourceBytes(); }
     int64_t residentBytes() const override { return 0; }
     const char *kernelName() const override { return "grouped-sweep"; }
 

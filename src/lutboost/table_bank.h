@@ -41,7 +41,8 @@
  * auto-tuner's assignments are host-independent); residentBytes() is
  * exactly what the bank allocated on this tier. The float banks allocate
  * nothing — they read the arena's own float source, which
- * LutTableArena::sizeBytes() counts.
+ * LutTableArena::sizeBytes() counts for as long as the arena holds it
+ * (LutTableArena::freeze releases what no bound bank reads).
  *
  * Banks are immutable after construction and thread-safe; all per-call
  * state lives in the caller's EncodeScratch / GatherScratch.

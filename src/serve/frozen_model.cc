@@ -495,6 +495,18 @@ lowerChain(const std::vector<nn::Layer *> &layers, ServeInputShape input,
     return {};
 }
 
+/** Freeze `arena` to the bank pair `binding` reads when that pair
+ * quantizes the table or the encode; a float/float32 binding keeps the
+ * whole float source (authoring). */
+void
+freezeToBinding(lutboost::LutTableArena &arena, const LutBinding &binding)
+{
+    const TablePrecision table = binding.backend().precision();
+    if (table != TablePrecision::Float32 ||
+        binding.encode() != EncodePrecision::Float32)
+        arena.freeze(table, binding.encode());
+}
+
 } // namespace
 
 TraceLayer
@@ -548,43 +560,115 @@ FrozenModel::fromModel(const nn::LayerPtr &model, ServeInputShape input,
     return frozen;
 }
 
+api::Status
+FrozenModel::validateTrace(const std::vector<sim::GemmShape> &gemms,
+                           const vq::PQConfig &pq, int64_t layer_byte_cap)
+{
+    if (gemms.empty())
+        return api::Status::invalidArgument(
+            "fromTrace requires a non-empty GEMM trace");
+    if (pq.v < 1 || pq.v > kMaxTraceDim)
+        return api::Status::invalidArgument(
+            "v must be in [1, " + std::to_string(kMaxTraceDim) + "] (got " +
+            std::to_string(pq.v) + ")");
+    if (pq.c < 2 || pq.c > kMaxTraceCentroids || !isPowerOfTwo(pq.c))
+        return api::Status::invalidArgument(
+            "c must be a power of two in [2, " +
+            std::to_string(kMaxTraceCentroids) + "] (got " +
+            std::to_string(pq.c) + ")");
+    for (const sim::GemmShape &gemm : gemms) {
+        if (gemm.k < 1 || gemm.n < 1 || gemm.k > kMaxTraceDim ||
+            gemm.n > kMaxTraceDim)
+            return api::Status::invalidArgument(
+                "trace gemm '" + gemm.tag + "' has invalid dims [k=" +
+                std::to_string(gemm.k) + ", n=" + std::to_string(gemm.n) +
+                "]; each must be in [1, " + std::to_string(kMaxTraceDim) +
+                "]");
+        // Float counts of weights [k, n], PSum table [Nc, c, n] and
+        // codebooks [Nc, c, v]; every operand is bounded above, but the
+        // products are still checked.
+        const int64_t nc = (gemm.k + pq.v - 1) / pq.v;
+        int64_t weights = 0, entries = 0, table = 0, codebooks = 0;
+        int64_t floats = 0, bytes = 0;
+        const bool overflow =
+            __builtin_mul_overflow(gemm.k, gemm.n, &weights) ||
+            __builtin_mul_overflow(nc, pq.c, &entries) ||
+            __builtin_mul_overflow(entries, gemm.n, &table) ||
+            __builtin_mul_overflow(entries, pq.v, &codebooks) ||
+            __builtin_add_overflow(weights, table, &floats) ||
+            __builtin_add_overflow(floats, codebooks, &floats) ||
+            __builtin_mul_overflow(floats, int64_t{sizeof(float)}, &bytes);
+        if (overflow || bytes > layer_byte_cap)
+            return api::Status::resourceExhausted(
+                "trace gemm '" + gemm.tag + "' [k=" +
+                std::to_string(gemm.k) + ", n=" + std::to_string(gemm.n) +
+                "] at v=" + std::to_string(pq.v) +
+                ", c=" + std::to_string(pq.c) + " needs " +
+                (overflow ? std::string("more than 2^63")
+                          : std::to_string(bytes)) +
+                " bytes of float weights, PSum table and codebooks; one "
+                "trace layer may take " +
+                std::to_string(layer_byte_cap));
+    }
+    return {};
+}
+
 api::Result<FrozenModel>
 FrozenModel::fromTrace(const std::vector<sim::GemmShape> &gemms,
                        const vq::PQConfig &pq, vq::LutPrecision precision,
                        uint64_t seed, PlanOptions plan)
 {
-    if (gemms.empty())
-        return api::Status::invalidArgument(
-            "fromTrace requires a non-empty GEMM trace");
-    if (pq.v < 1)
-        return api::Status::invalidArgument("v must be >= 1");
-    if (pq.c < 2 || !isPowerOfTwo(pq.c))
-        return api::Status::invalidArgument(
-            "c must be a power of two >= 2 (got " + std::to_string(pq.c) +
-            ")");
+    if (api::Status status = validateTrace(gemms, pq); !status.ok())
+        return status;
 
     FrozenModel frozen;
-    int64_t index = 0;
+    frozen.trace_ = true;
     int64_t prev_out = -1;
-    for (const sim::GemmShape &gemm : gemms) {
-        if (gemm.k < 1 || gemm.n < 1)
-            return api::Status::invalidArgument(
-                "trace gemm '" + gemm.tag + "' has invalid dims [k=" +
-                std::to_string(gemm.k) + ", n=" + std::to_string(gemm.n) +
-                "]");
-        TraceLayer layer = synthesizeTraceLayer(
-            gemm, pq, seed, index++, precision.bf16_similarity);
-        const vq::LookupTable lut(layer.quantizer, layer.weights,
-                                  precision);
+    for (size_t i = 0; i < gemms.size(); ++i) {
+        const sim::GemmShape &gemm = gemms[i];
+        std::shared_ptr<lutboost::LutTableArena> arena;
+        {
+            TraceLayer layer =
+                synthesizeTraceLayer(gemm, pq, seed, static_cast<int64_t>(i),
+                                     precision.bf16_similarity);
+            vq::LookupTable lut(layer.quantizer, layer.weights, precision);
+            layer.weights = Tensor();  // consumed: free before the banks
+            arena = std::make_shared<lutboost::LutTableArena>(
+                layer.quantizer, std::move(lut), nullptr,
+                precision.bf16_similarity);
+        }
         if (prev_out >= 0 && prev_out != gemm.k)
             frozen.stages_.push_back(
                 std::make_shared<WidthAdaptStage>(prev_out, gemm.k));
-        frozen.stages_.push_back(std::make_shared<ArenaStage>(
-            std::make_shared<const lutboost::LutTableArena>(
-                layer.quantizer, lut, nullptr,
-                precision.bf16_similarity)));
+        // Each GEMM is the i-th LUT stage, so the plan's per-stage entry
+        // i is this stage's: bind it now, and the planning pass below
+        // rebinds the same banks.
+        auto stage = std::make_shared<ArenaStage>(
+            arena, stageTablePrecision(plan, i), std::vector<PointwiseOp>{},
+            0, 0, stageEncodePrecision(plan, i));
+        freezeToBinding(*arena, stage->binding());
+        frozen.stages_.push_back(std::move(stage));
         prev_out = gemm.n;
     }
+    planStages(frozen.stages_, plan, frozen.plan_, &frozen.tiles_);
+    return frozen;
+}
+
+api::Result<FrozenModel>
+FrozenModel::fromStages(std::vector<StagePtr> stages, PlanOptions plan)
+{
+    if (stages.empty())
+        return api::Status::invalidArgument(
+            "fromStages requires at least one stage");
+    for (size_t i = 1; i < stages.size(); ++i)
+        if (stages[i - 1]->outWidth() != stages[i]->inWidth())
+            return api::Status::invalidArgument(
+                "stage " + std::to_string(i) + " ('" + stages[i]->kind() +
+                "') consumes width " + std::to_string(stages[i]->inWidth()) +
+                " but its predecessor produces " +
+                std::to_string(stages[i - 1]->outWidth()));
+    FrozenModel frozen;
+    frozen.stages_ = std::move(stages);
     planStages(frozen.stages_, plan, frozen.plan_, &frozen.tiles_);
     return frozen;
 }
@@ -596,8 +680,35 @@ FrozenModel::withPlan(const PlanOptions &plan) const
     out.stages_ = stages_;  // shared_ptr copies: arenas (and their cached
                             // quantized banks) are shared, never rebuilt
     out.row_group_ = row_group_;
+    out.trace_ = trace_;
     planStages(out.stages_, plan, out.plan_, &out.tiles_);
     return out;
+}
+
+api::Status
+FrozenModel::freeze()
+{
+    if (!trace_)
+        return api::Status::failedPrecondition(
+            "only trace models freeze: a fromModel arena is shared with "
+            "its source layer's eval forward");
+    for (const StagePtr &stage : stages_)
+        if (const auto *gemm = dynamic_cast<const ArenaStage *>(stage.get()))
+            if (gemm->arena().use_count() > 1)
+                return api::Status::failedPrecondition(
+                    "another model still shares this model's arenas; drop "
+                    "it before freezing");
+    for (const StagePtr &stage : stages_) {
+        const auto *gemm = dynamic_cast<const ArenaStage *>(stage.get());
+        if (gemm == nullptr || gemm->arena()->frozen())
+            continue;
+        // fromTrace created the arena mutable, and this stage is its only
+        // holder (checked above).
+        freezeToBinding(
+            *std::const_pointer_cast<lutboost::LutTableArena>(gemm->arena()),
+            gemm->binding());
+    }
+    return {};
 }
 
 int64_t

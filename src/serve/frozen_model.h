@@ -38,6 +38,16 @@
  * fusable neighbors (pointwise epilogues, width-adapt prologues) fold
  * into them. The resulting per-stage decisions are inspectable through
  * plan() / planSummary().
+ *
+ * Deployment freeze (trace models): fromTrace binds each stage at its
+ * planned (table, encode) precision as soon as the layer's arena exists,
+ * then freezes the arena (lutboost::LutTableArena::freeze) wherever the
+ * plan quantized something, before the next layer is synthesized: the
+ * float PSum table stays only on stages that gather from the Float32
+ * bank, the codebooks only where a float encode is bound. A model
+ * lowered under the float plan is an authoring model and keeps
+ * everything, so withPlan() can bind any precision on it; freeze() then
+ * releases what a replanned copy no longer reads.
  */
 
 #include <cstdint>
@@ -120,13 +130,56 @@ class FrozenModel
      * Synthesize a load-testing model from a deployment GEMM trace: one
      * arena stage per GEMM, Gaussian random codebooks and weights
      * (deterministic in `seed`), no bias, no activations; WidthAdaptStage
-     * between non-chaining widths. Validates `pq` like the conversion
-     * pipeline does.
+     * between non-chaining widths. The trace is checked first
+     * (validateTrace), so a hostile one gets a typed Status before
+     * anything is allocated.
+     *
+     * Layers are built one at a time: weights, PSum table (the weights
+     * are freed once it exists), arena (which takes the table's buffer),
+     * then the stage bound at its planned precisions. Where `plan`
+     * quantizes the stage's table or encode, the arena is frozen right
+     * away, so only the bound banks, the bias, and whichever of the
+     * float table / codebooks a Float32 table / encode still reads
+     * outlive the layer. Under the default float plan nothing is
+     * released (an authoring model).
      */
     static api::Result<FrozenModel>
     fromTrace(const std::vector<sim::GemmShape> &gemms,
               const vq::PQConfig &pq, vq::LutPrecision precision = {},
               uint64_t seed = 91, PlanOptions plan = {});
+
+    /** Largest trace GEMM dimension (k, n) and subvector length v. */
+    static constexpr int64_t kMaxTraceDim = int64_t{1} << 24;
+
+    /** Most centroids a trace codebook may hold (CodeBuffer's limit). */
+    static constexpr int64_t kMaxTraceCentroids = int64_t{1} << 16;
+
+    /** Cap on the float bytes one synthesized trace layer allocates:
+     * weights [k, n] + PSum table [Nc, c, n] + codebooks [Nc, c, v]. */
+    static constexpr int64_t kMaxTraceLayerBytes = int64_t{1} << 30;
+
+    /**
+     * Check a trace before fromTrace builds it, allocating nothing:
+     * InvalidArgument for an empty trace, k or n outside [1,
+     * kMaxTraceDim], v outside [1, kMaxTraceDim], or c not a power of
+     * two in [2, kMaxTraceCentroids]; ResourceExhausted when a layer's
+     * size products overflow int64 or exceed `layer_byte_cap`
+     * (api::loadArtifacts checks geometry and overflow only, leaving the
+     * cap to the engine builders).
+     */
+    static api::Status
+    validateTrace(const std::vector<sim::GemmShape> &gemms,
+                  const vq::PQConfig &pq,
+                  int64_t layer_byte_cap = kMaxTraceLayerBytes);
+
+    /**
+     * Assemble a model from already-built stages and plan it: the way to
+     * serve a custom FrozenStage (tests, fault injection). Consecutive
+     * widths must chain; InvalidArgument otherwise or when `stages` is
+     * empty.
+     */
+    static api::Result<FrozenModel> fromStages(std::vector<StagePtr> stages,
+                                               PlanOptions plan = {});
 
     /**
      * Replan this model under different PlanOptions, returning a new
@@ -138,8 +191,26 @@ class FrozenModel
      * auto-tuner's candidate sweep (serve/autotune.h) relies on. The
      * original model is untouched; planStages is idempotent on an
      * already-planned chain, so fusion decisions do not compound.
+     *
+     * On an authoring model (float plan, nothing frozen) and on every
+     * copy derived from one, any plan binds. On a frozen model only the
+     * bound precisions remain: tiling, sharding and fusion may change,
+     * but a plan that binds another precision on a frozen arena panics
+     * with the freeze message.
      */
     FrozenModel withPlan(const PlanOptions &plan) const;
+
+    /**
+     * Deployment freeze of a trace model under its current plan: freeze
+     * every arena whose stage binds a quantized table or encode, exactly
+     * as fromTrace does under a quantized plan (already-frozen arenas are
+     * left as they are). Afterwards withPlan() may still change tiling,
+     * sharding and fusion, but binding any other precision panics.
+     * FailedPrecondition for a fromModel model (its arenas are shared
+     * with the source layers' eval forward) or while another model still
+     * shares an arena (a withPlan sibling would read what is released).
+     */
+    api::Status freeze();
 
     /** Input width the first stage expects. */
     int64_t inputWidth() const;
@@ -173,11 +244,12 @@ class FrozenModel
      * the joint (table, encode) auto-tuner descends on. */
     int64_t encodeBytes() const;
 
-    /** Total bytes RESIDENT for the planned tables across stages: each
-     * LUT stage's float arena (codebooks, PSum table, bias — every plan
-     * keeps it) plus exactly what the (table bank, encode bank) pairs
+    /** Total bytes RESIDENT for the planned tables across stages: what
+     * each LUT stage's arenas still hold of their float source (all of
+     * codebooks, PSum table and bias, less what a deployment freeze
+     * released) plus exactly what the (table bank, encode bank) pairs
      * this plan binds allocated on the running tier. Plans that share
-     * arenas (withPlan) each count the shared float arena once. */
+     * arenas (withPlan) each count the shared float source once. */
     int64_t residentBytes() const;
 
     /** Stage list (read-only). */
@@ -233,6 +305,9 @@ class FrozenModel
     std::vector<StagePlan> plan_;
     TileExecPlan tiles_;
     int64_t row_group_ = 1;
+    /** Lowered by fromTrace: its arenas were created mutable and belong
+     * to no source layer, so freeze() may release them. */
+    bool trace_ = false;
 };
 
 } // namespace lutdla::serve

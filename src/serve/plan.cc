@@ -10,27 +10,23 @@
 
 namespace lutdla::serve {
 
-namespace {
-
-/** Precision of the `lut_index`-th LUT stage in chain order: explicit
- * per-stage binding when present, else the global default. */
 TablePrecision
-stagePrecisionAt(const PlanOptions &options, size_t lut_index)
+stageTablePrecision(const PlanOptions &options, size_t lut_index)
 {
     if (lut_index < options.stage_precision.size())
         return options.stage_precision[lut_index];
     return options.table_precision;
 }
 
-/** Encode precision REQUESTED for the `lut_index`-th LUT stage; the
- * stage itself resolves it against its arena's capability. */
 EncodePrecision
-stageEncodePrecisionAt(const PlanOptions &options, size_t lut_index)
+stageEncodePrecision(const PlanOptions &options, size_t lut_index)
 {
     if (lut_index < options.stage_encode_precision.size())
         return options.stage_encode_precision[lut_index];
     return options.encode_precision;
 }
+
+namespace {
 
 /** Collect the run of PointwiseStages starting at `j`; returns one past
  * the last fused stage. */
@@ -237,11 +233,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
                 const size_t j =
                     collectEpilogue(stages, i + 2, epilogue, fused);
                 const size_t li = lut_index++;
-                const TablePrecision prec = stagePrecisionAt(options, li);
+                const TablePrecision prec = stageTablePrecision(options, li);
                 auto planned = std::make_shared<ArenaStage>(
                     next->arena(), prec, std::move(epilogue),
                     stage->inWidth(), shard_rows,
-                    stageEncodePrecisionAt(options, li));
+                    stageEncodePrecision(options, li));
                 plan.push_back(lutPlan(*planned, planned->binding(),
                                        std::move(fused), shard_rows));
                 out.push_back(std::move(planned));
@@ -259,11 +255,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
                                                    fused)
                                  : i + 1;
             const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
+            const TablePrecision prec = stageTablePrecision(options, li);
             auto planned = std::make_shared<ArenaStage>(
                 arena->arena(), prec, std::move(epilogue),
                 arena->adaptInWidth(), shard_rows,
-                stageEncodePrecisionAt(options, li));
+                stageEncodePrecision(options, li));
             plan.push_back(lutPlan(*planned, planned->binding(),
                                    std::move(fused), shard_rows));
             out.push_back(std::move(planned));
@@ -280,11 +276,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
                                                    fused)
                                  : i + 1;
             const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
+            const TablePrecision prec = stageTablePrecision(options, li);
             auto planned = std::make_shared<AttentionStage>(
                 attn->arenas(), attn->seqLen(), attn->heads(),
                 prec, std::move(epilogue), shard_rows,
-                stageEncodePrecisionAt(options, li));
+                stageEncodePrecision(options, li));
             plan.push_back(lutPlan(*planned, planned->binding(),
                                    std::move(fused), shard_rows));
             out.push_back(std::move(planned));
@@ -301,11 +297,11 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
                                                    fused)
                                  : i + 1;
             const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
+            const TablePrecision prec = stageTablePrecision(options, li);
             auto planned = std::make_shared<ConvStage>(
                 conv->geometry(), conv->height(), conv->width(),
                 conv->arena(), prec, std::move(epilogue),
-                stageEncodePrecisionAt(options, li));
+                stageEncodePrecision(options, li));
             // Conv stages stay unsharded (the im2col plane is shared);
             // their shard_rows records 0 so the summary says so.
             plan.push_back(

@@ -123,6 +123,16 @@ struct PlanOptions
     int64_t tile_cache_bytes = 0;
 };
 
+/** Table precision `options` binds to the `lut_index`-th LUT stage in
+ * chain order: the per-stage entry when present, else the global one. */
+TablePrecision stageTablePrecision(const PlanOptions &options,
+                                   size_t lut_index);
+
+/** Encode precision `options` REQUESTS for the `lut_index`-th LUT stage;
+ * the stage resolves it against its arenas (see LutBinding). */
+EncodePrecision stageEncodePrecision(const PlanOptions &options,
+                                     size_t lut_index);
+
 /** One planned stage: what the node runs and what was folded into it. */
 struct StagePlan
 {

@@ -51,11 +51,9 @@ LutBinding::LutBinding(
     for (const lutboost::LutTableArena *arena : arenas)
         if (!arena->int8EncodeSupported())
             encode_ = lutboost::EncodePrecision::Float32;
-    for (const lutboost::LutTableArena *arena : arenas) {
+    for (const lutboost::LutTableArena *arena : arenas)
         banks_.push_back(
             {&arena->tableBank(table), &arena->encodeBank(encode_)});
-        float_bytes_ += arena->sizeBytes();
-    }
 }
 
 int64_t
@@ -79,9 +77,9 @@ LutBinding::encodeBytes() const
 int64_t
 LutBinding::residentBytes() const
 {
-    int64_t bytes = float_bytes_;
+    int64_t bytes = 0;
     for (const lutboost::BankPair &banks : banks_)
-        bytes += banks.residentBytes();
+        bytes += banks.table->arena().sizeBytes() + banks.residentBytes();
     return bytes;
 }
 

@@ -179,9 +179,10 @@ class FrozenStage
      */
     virtual int64_t encodeBytes() const { return 0; }
 
-    /** Bytes resident for the stage's tables: the float arena every
-     * plan keeps (codebooks, PSum table, bias) plus the banks the plan
-     * reads. 0 for non-LUT stages. */
+    /** Bytes resident for the stage's tables: what its arenas still hold
+     * of their float source (codebooks, PSum table, bias; a deployment
+     * freeze releases what the bound banks do not read) plus the banks
+     * the plan reads. 0 for non-LUT stages. */
     virtual int64_t residentBytes() const { return 0; }
 
     /** True when the stage mutates rows in place (inWidth==outWidth). */
@@ -266,7 +267,8 @@ class LutBinding
     /** Encode bytes one sweep streams, summed over the arenas. */
     int64_t encodeBytes() const;
 
-    /** The arenas' float source plus the bound banks' allocations. */
+    /** What the arenas still hold of their float source (all of it until
+     * a deployment freeze) plus the bound banks' allocations. */
     int64_t residentBytes() const;
 
     /** `base` decorated with the precisions and fused ops, e.g.
@@ -279,7 +281,6 @@ class LutBinding
     lutboost::KernelBackend backend_;
     lutboost::EncodePrecision encode_;
     std::vector<lutboost::BankPair> banks_;
-    int64_t float_bytes_ = 0;
 };
 
 /**

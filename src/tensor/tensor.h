@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lutdla {
@@ -64,6 +65,14 @@ class Tensor
     /** Raw storage access. */
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
+
+    /** Move the storage out without a copy, leaving an empty tensor. */
+    std::vector<float>
+    takeData() &&
+    {
+        shape_.clear();
+        return std::move(data_);
+    }
 
     /** Flat element access with bounds check in debug builds. */
     float &at(int64_t i) { return data_[static_cast<size_t>(i)]; }

@@ -32,6 +32,38 @@ CodeBuffer::reset(int64_t rows, int64_t subspaces, int64_t num_centroids)
 }
 
 void
+CodeBuffer::setPlane(int64_t row0, int64_t s,
+                     const uint8_t *__restrict__ plane, int64_t n)
+{
+    const int64_t stride = stride_;
+    switch (bits_) {
+      case 4: {
+        uint8_t *out = data_.data() + row0 * stride + (s >> 1);
+        const int shift = (s & 1) ? 4 : 0;
+        const auto keep = static_cast<uint8_t>(~(0xF << shift));
+        for (int64_t i = 0; i < n; ++i)
+            out[i * stride] = static_cast<uint8_t>(
+                (out[i * stride] & keep) | ((plane[i] & 0xF) << shift));
+        return;
+      }
+      case 8: {
+        uint8_t *out = data_.data() + row0 * stride + s;
+        for (int64_t i = 0; i < n; ++i)
+            out[i * stride] = plane[i];
+        return;
+      }
+      default: {
+        uint8_t *out = data_.data() + row0 * stride + 2 * s;
+        for (int64_t i = 0; i < n; ++i) {
+            out[i * stride] = plane[i];
+            out[i * stride + 1] = 0;
+        }
+        return;
+      }
+    }
+}
+
+void
 CodeBuffer::unpackRow(int64_t row, int32_t *out) const
 {
     const uint8_t *base = data_.data() + row * stride_;

@@ -82,6 +82,13 @@ class CodeBuffer
         }
     }
 
+    /**
+     * Store one subspace plane: plane[i] becomes the code of (row0 + i,
+     * s) for i in [0, n). Same bits as n set() calls, with the width
+     * switch taken once per plane instead of once per code.
+     */
+    void setPlane(int64_t row0, int64_t s, const uint8_t *plane, int64_t n);
+
     /** Read back the code for (row, s). */
     int32_t
     get(int64_t row, int64_t s) const

@@ -58,6 +58,9 @@ class LookupTable
     /** Raw table [Nc, c, N] (already dequantized if int8_entries). */
     const Tensor &table() const { return table_; }
 
+    /** Move the raw table's [Nc * c * N] floats out without a copy. */
+    std::vector<float> takeTable() && { return std::move(table_).takeData(); }
+
     /** One table row: psums for (subspace s, centroid j), length N. */
     const float *entry(int64_t s, int64_t j) const;
 

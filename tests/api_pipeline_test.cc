@@ -141,6 +141,54 @@ TEST(ApiPipeline, LoadArtifactsRejectsGarbage)
     std::remove(path.c_str());
 }
 
+TEST(ApiPipeline, LoadArtifactsRejectsHostileTraceGeometry)
+{
+    // Mutants a byte-flipping probe of a saved run produced: each gets a
+    // typed Status instead of a bad_alloc, a length_error or a
+    // multi-GB synthetic layer.
+    const std::string path = "api_artifacts_hostile.bin";
+    const auto roundTrip = [&](const RunArtifacts &a) {
+        EXPECT_TRUE(saveArtifacts(a, path).ok());
+        return loadArtifacts(path);
+    };
+    RunArtifacts base;
+    base.pq.v = 4;
+    base.pq.c = 16;
+    base.gemms = {{8, 32, 16, "fc"}};
+    ASSERT_TRUE(roundTrip(base).ok());
+
+    RunArtifacts huge_k = base;
+    huge_k.gemms[0].k = 35'000'000'000'000'000;
+    EXPECT_EQ(roundTrip(huge_k).status().code(),
+              StatusCode::InvalidArgument);
+
+    RunArtifacts huge_v = base;
+    huge_v.pq.v = 2'800'000'000'000'000'000;
+    EXPECT_EQ(roundTrip(huge_v).status().code(),
+              StatusCode::InvalidArgument);
+
+    // Every dimension in bounds, but the [Nc, c, N] product passes int64.
+    RunArtifacts wraps = base;
+    wraps.pq.v = 1;
+    wraps.pq.c = 1 << 16;
+    wraps.gemms = {{1, 1 << 24, 1 << 24, "wraps"}};
+    EXPECT_EQ(roundTrip(wraps).status().code(),
+              StatusCode::ResourceExhausted);
+
+    // A representable trace whose one layer would synthesize 80 GiB of
+    // weights and PSum table: it loads (the timing model can replay it),
+    // and the engine builder refuses it before allocating.
+    RunArtifacts huge_table = base;
+    huge_table.gemms = {{1, 1 << 20, 1 << 12, "huge"}};
+    Result<RunArtifacts> loaded = roundTrip(huge_table);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(makeEngineForArtifacts(loaded.value(), serve::EngineOptions{})
+                  .status()
+                  .code(),
+              StatusCode::ResourceExhausted);
+    std::remove(path.c_str());
+}
+
 TEST(ApiPipeline, WorkloadRegistryResolvesAndRejects)
 {
     EXPECT_TRUE(findWorkload("resnet18").ok());

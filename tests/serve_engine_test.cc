@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -736,6 +738,59 @@ TEST(FrozenModel, TraceModelAdaptsWidthsDeterministically)
     EXPECT_FALSE(empty.ok());
 }
 
+TEST(FrozenModel, HostileTraceGeometryGetsTypedStatus)
+{
+    // The whole trace is checked before the first layer is built, so
+    // none of these allocates anything of the trace's size.
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    const auto code = [](const std::vector<sim::GemmShape> &gemms,
+                         const vq::PQConfig &config) {
+        return serve::FrozenModel::fromTrace(gemms, config).status().code();
+    };
+    EXPECT_EQ(code({{1, 35'000'000'000'000'000, 16, "k"}}, pq),
+              api::StatusCode::InvalidArgument);
+    EXPECT_EQ(code({{1, 32, 0, "n"}}, pq), api::StatusCode::InvalidArgument);
+    vq::PQConfig huge_v = pq;
+    huge_v.v = 2'800'000'000'000'000'000;
+    EXPECT_EQ(code({{1, 32, 16, "v"}}, huge_v),
+              api::StatusCode::InvalidArgument);
+    vq::PQConfig huge_c = pq;
+    huge_c.c = int64_t{1} << 40;
+    EXPECT_EQ(code({{1, 32, 16, "c"}}, huge_c),
+              api::StatusCode::InvalidArgument);
+    // 80 GiB of weights and PSum table behind a well-formed first layer.
+    EXPECT_EQ(code({{1, 32, 16, "ok"}, {1, 1 << 20, 1 << 12, "huge"}}, pq),
+              api::StatusCode::ResourceExhausted);
+    // The same refusal through the engine builder.
+    EXPECT_EQ(api::makeTraceEngine({{1, 1 << 20, 1 << 12, "huge"}}, pq,
+                                   api::ServeOptions{})
+                  .status()
+                  .code(),
+              api::StatusCode::ResourceExhausted);
+}
+
+TEST(FrozenModel, FromStagesRejectsEmptyAndUnchainedStages)
+{
+    std::vector<sim::GemmShape> gemms{{4, 12, 6, "a"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    auto trace = serve::FrozenModel::fromTrace(gemms, pq);
+    ASSERT_TRUE(trace.ok());
+    EXPECT_EQ(serve::FrozenModel::fromStages({}).status().code(),
+              api::StatusCode::InvalidArgument);
+    std::vector<serve::StagePtr> twice{trace->stages()[0],
+                                       trace->stages()[0]};
+    EXPECT_EQ(serve::FrozenModel::fromStages(twice).status().code(),
+              api::StatusCode::InvalidArgument);
+    auto same = serve::FrozenModel::fromStages(trace->stages());
+    ASSERT_TRUE(same.ok()) << same.status().toString();
+    const Tensor x = randomRows(5, 12, 4);
+    EXPECT_TRUE(same->forwardBatch(x).equals(trace->forwardBatch(x)));
+}
+
 // ---------------------------------------------------------------------------
 // Engine behavior.
 
@@ -1088,6 +1143,46 @@ TEST(InferenceEngine, ShardedBigBatchBitExactAcrossPlans)
     }
 }
 
+/**
+ * A width-preserving stage that shards its pass-through into two blocks,
+ * each of which waits (up to 10 s) until both are running. The worker
+ * that initiates the batch claims one block and cannot finish it alone,
+ * so a second worker must steal the other: the steal is forced, not raced.
+ */
+class RendezvousStage : public serve::FrozenStage
+{
+  public:
+    explicit RendezvousStage(int64_t width) : width_(width) {}
+
+    std::string kind() const override { return "rendezvous"; }
+    int64_t inWidth() const override { return width_; }
+    int64_t outWidth() const override { return width_; }
+
+    void
+    forward(const float *in, int64_t rows, float *out,
+            serve::StageScratch &scratch) const override
+    {
+        std::memcpy(out, in,
+                    static_cast<size_t>(rows * width_) * sizeof(float));
+        if (scratch.pool == nullptr)
+            return;
+        std::atomic<int> entered{0};
+        scratch.pool->parallelFor(
+            2,
+            [&](int64_t, serve::StageScratch &) {
+                entered.fetch_add(1);
+                using Clock = std::chrono::steady_clock;
+                const auto deadline = Clock::now() + std::chrono::seconds(10);
+                while (entered.load() < 2 && Clock::now() < deadline)
+                    std::this_thread::yield();
+            },
+            scratch);
+    }
+
+  private:
+    int64_t width_;
+};
+
 TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
 {
     // Regression: a worker that only ever STEALS shard blocks from the
@@ -1095,16 +1190,24 @@ TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
     // under-counting 2-thread runs where batch coalescing funnels every
     // request through one initiator (and inflating the per-active-worker
     // encode/gather averages). ONE big sharded batch guarantees exactly
-    // one initiator, so before the fix this engine deterministically
-    // reported active_workers == 1; the second worker has dozens of
-    // shard blocks across the stage phases to claim.
+    // one initiator, and a leading RendezvousStage makes the second
+    // worker steal at least one block, so before the fix this engine
+    // deterministically reported active_workers == 1. Without that stage
+    // the steal is a race: the initiator can drain every block before
+    // the helper wakes.
     std::vector<sim::GemmShape> gemms{{4, 256, 192, "a"},
                                       {4, 192, 128, "b"},
                                       {4, 128, 64, "c"}};
     vq::PQConfig pq;
     pq.v = 4;
     pq.c = 16;
-    auto model = serve::FrozenModel::fromTrace(gemms, pq);
+    auto trace = serve::FrozenModel::fromTrace(gemms, pq);
+    ASSERT_TRUE(trace.ok()) << trace.status().toString();
+    std::vector<serve::StagePtr> stages{
+        std::make_shared<RendezvousStage>(256)};
+    stages.insert(stages.end(), trace->stages().begin(),
+                  trace->stages().end());
+    auto model = serve::FrozenModel::fromStages(std::move(stages));
     ASSERT_TRUE(model.ok()) << model.status().toString();
 
     serve::EngineOptions options;

@@ -354,5 +354,194 @@ TEST(InferenceEngine, TiledTasksRaceBitExactTransformer)
     engine.value()->shutdown();
 }
 
+// ---------------------------------------------------------------------------
+// Deployment freeze: a trace lowered under a quantized plan serves the
+// bits of an authoring (float-plan) model replanned to the same plan,
+// while its arenas hold only the float source their bound banks read.
+
+/** A ragged tail subspace (26 % 4), a fused width adapt (40 -> 36) and
+ * odd output widths. */
+const std::vector<sim::GemmShape> kFreezeGemms{
+    {4, 26, 40, "a"}, {4, 36, 17, "b"}, {4, 17, 9, "c"}};
+
+vq::PQConfig
+freezePq()
+{
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    return pq;
+}
+
+/** int4 + int8 encode, int8, and a mixed plan: int4 + int8 encode, a
+ * float table under int8 encode, and an untouched float stage. */
+std::vector<serve::PlanOptions>
+freezePlans()
+{
+    serve::PlanOptions int4_int8enc, int8, mixed;
+    int4_int8enc.table_precision = serve::TablePrecision::Int4;
+    int4_int8enc.encode_precision = serve::EncodePrecision::Int8;
+    int8.table_precision = serve::TablePrecision::Int8;
+    mixed.stage_precision = {serve::TablePrecision::Int4,
+                             serve::TablePrecision::Float32,
+                             serve::TablePrecision::Float32};
+    mixed.stage_encode_precision = {serve::EncodePrecision::Int8,
+                                    serve::EncodePrecision::Int8,
+                                    serve::EncodePrecision::Float32};
+    return {int4_int8enc, int8, mixed};
+}
+
+/** The trace model under `plan`, lowered straight to it (frozen) or as
+ * a float authoring model replanned to it. */
+serve::FrozenModel
+freezeModel(const serve::PlanOptions &plan, bool frozen)
+{
+    const serve::PlanOptions lowering = frozen ? plan : serve::PlanOptions{};
+    auto model = serve::FrozenModel::fromTrace(kFreezeGemms, freezePq(), {},
+                                               91, lowering);
+    EXPECT_TRUE(model.ok()) << model.status().toString();
+    return frozen ? model.take() : model->withPlan(plan);
+}
+
+/**
+ * Check what a model's arenas hold: a stage that gathers from the float
+ * bank keeps the PSum table, one with a float encode keeps the
+ * codebooks, nothing else of the float source stays (trace arenas have
+ * no bias), and residentBytes() is that plus the bound banks.
+ */
+void
+expectHoldsOnlyBoundSource(const serve::FrozenModel &model)
+{
+    int64_t resident = 0;
+    for (const serve::StagePtr &stage : model.stages()) {
+        const auto *gemm = dynamic_cast<const serve::ArenaStage *>(stage.get());
+        if (gemm == nullptr)
+            continue;
+        const lutboost::LutTableArena &arena = *gemm->arena();
+        const bool float_table =
+            gemm->backend().precision() == serve::TablePrecision::Float32;
+        const bool float_encode =
+            gemm->encodePrecision() == serve::EncodePrecision::Float32;
+        EXPECT_EQ(arena.frozen(), !(float_table && float_encode))
+            << gemm->description();
+        const int64_t entries = arena.numSubspaces() * arena.numCentroids();
+        const int64_t held_floats =
+            (float_table ? entries * arena.outFeatures() : 0) +
+            (float_encode ? entries * arena.subvectorLen() : 0);
+        EXPECT_EQ(arena.sizeBytes(),
+                  held_floats * static_cast<int64_t>(sizeof(float)))
+            << gemm->description();
+        resident += arena.sizeBytes() + gemm->binding().banks().residentBytes();
+    }
+    EXPECT_EQ(model.residentBytes(), resident) << model.describe();
+}
+
+TEST(FrozenModel, TraceLoweredFrozenMatchesAuthoringReplanBitExact)
+{
+    for (const serve::PlanOptions &plan : freezePlans()) {
+        const serve::FrozenModel authoring = freezeModel(plan, false);
+        const serve::FrozenModel frozen = freezeModel(plan, true);
+        ASSERT_EQ(frozen.describe(), authoring.describe());
+        // Tiled (auto) and untiled executors: a frozen model still
+        // replans tiling at its bound precisions.
+        for (const int64_t tile_rows : {int64_t{0}, int64_t{-1}}) {
+            serve::PlanOptions p = plan;
+            p.tile_rows = tile_rows;
+            const serve::FrozenModel a = authoring.withPlan(p);
+            const serve::FrozenModel f = frozen.withPlan(p);
+            for (const int64_t rows : {1, 64, 193}) {
+                const Tensor x = randomRows(rows, 26, 40 + rows);
+                const Tensor want = a.forwardBatch(x);
+                const Tensor got = f.forwardBatch(x);
+                EXPECT_TRUE(got.equals(want))
+                    << frozen.describe() << " tile_rows=" << tile_rows
+                    << " rows=" << rows
+                    << " maxdiff=" << Tensor::maxAbsDiff(got, want);
+            }
+        }
+    }
+}
+
+TEST(FrozenModel, FrozenResidentBytesCountBoundBanksPlusHeldSource)
+{
+    for (const serve::PlanOptions &plan : freezePlans()) {
+        const serve::FrozenModel frozen = freezeModel(plan, true);
+        expectHoldsOnlyBoundSource(frozen);
+        // Replanned copies see the same arenas and the same sum.
+        serve::PlanOptions untiled = plan;
+        untiled.tile_rows = -1;
+        expectHoldsOnlyBoundSource(frozen.withPlan(untiled));
+        EXPECT_LT(frozen.residentBytes(),
+                  freezeModel(plan, false).residentBytes())
+            << frozen.describe();
+    }
+    // The float plan freezes nothing: an authoring model.
+    const serve::FrozenModel authoring =
+        freezeModel(serve::PlanOptions{}, true);
+    expectHoldsOnlyBoundSource(authoring);
+}
+
+TEST(FrozenModel, FrozenArenaRefusesOtherPrecisions)
+{
+    const serve::FrozenModel frozen = freezeModel(freezePlans()[0], true);
+    const auto *gemm =
+        dynamic_cast<const serve::ArenaStage *>(frozen.stages()[0].get());
+    ASSERT_NE(gemm, nullptr);
+    const lutboost::LutTableArena &arena = *gemm->arena();
+    ASSERT_TRUE(arena.frozen());
+    EXPECT_DEATH(arena.tableBank(lutboost::TablePrecision::Float32),
+                 "float32 table bank is gone: the deployment freeze");
+    EXPECT_DEATH(arena.tableBank(lutboost::TablePrecision::Int8),
+                 "int8 table bank is gone: the deployment freeze");
+    EXPECT_DEATH(arena.encodeBank(lutboost::EncodePrecision::Float32),
+                 "float32 encode bank is gone: the deployment freeze");
+    EXPECT_DEATH(frozen.withPlan(serve::PlanOptions{}),
+                 "deployment freeze");
+    // A fromModel model shares its arenas with the source layers.
+    vq::PQConfig pq = freezePq();
+    auto source = std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{
+        std::make_shared<lutboost::LutLinear>(16, 8, pq, true, 5)});
+    lutboost::findLutLayers(source)[0]->refreshInferenceLut();
+    auto lowered = serve::FrozenModel::fromModel(source);
+    ASSERT_TRUE(lowered.ok()) << lowered.status().toString();
+    serve::FrozenModel from_model = lowered.take();
+    EXPECT_EQ(from_model.freeze().code(), api::StatusCode::FailedPrecondition);
+    // A trace model whose arenas a sibling still reads cannot freeze.
+    const serve::FrozenModel authoring =
+        freezeModel(serve::PlanOptions{}, true);
+    serve::FrozenModel sibling = authoring.withPlan(freezePlans()[0]);
+    EXPECT_EQ(sibling.freeze().code(), api::StatusCode::FailedPrecondition);
+}
+
+TEST(FrozenModel, AutoTunedTraceEngineEndsFrozen)
+{
+    api::ServeOptions options;
+    options.engine.threads = 2;
+    options.autoTunePrecision(0.0);  // every move fits: all stages quantize
+    options.auto_tune_options.probe_rows = 64;
+    auto engine = api::makeTraceEngine(kFreezeGemms, freezePq(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().toString();
+    const serve::FrozenModel &model = engine.value()->model();
+
+    serve::PlanOptions tuned;
+    for (const serve::StagePlan &p : model.plan())
+        if (p.code_bits > 0) {
+            tuned.stage_precision.push_back(p.precision);
+            tuned.stage_encode_precision.push_back(p.encode_precision);
+            EXPECT_NE(p.precision, serve::TablePrecision::Float32)
+                << model.planSummary();
+        }
+    expectHoldsOnlyBoundSource(model);
+
+    // It serves the tuned plan's bits.
+    const Tensor x = randomRows(64, 26, 7);
+    const Tensor want = freezeModel(tuned, false).forwardBatch(x);
+    auto result = engine.value()->submit(x);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_TRUE(result->equals(want))
+        << "maxdiff=" << Tensor::maxAbsDiff(*result, want);
+    engine.value()->shutdown();
+}
+
 } // namespace
 } // namespace lutdla
