@@ -11,9 +11,13 @@
  * bytes-halved-vs-unpack-cost comparison against INT8 and float), plus
  * one serving row tile on the INT4-table + INT8-encode plan at the
  * resnet18 hot shape, fused (encode straight into the gather's planar
- * code lanes) next to split (through a packed CodeBuffer). These are
- * software-kernel timings (host CPU), complementing the cycle
- * simulator's hardware numbers.
+ * code lanes) next to split (through a packed CodeBuffer), and the fused
+ * tile of a width-adapted trace layer (K = 4608 read in place from
+ * 512-wide source rows). These are software-kernel timings (host CPU),
+ * complementing the cycle simulator's hardware numbers.
+ *
+ * Each fixture (k-means training included) is built once per shape and
+ * reused by every benchmark and every timing run at that shape.
  *
  * Run: ./build/bench/bench_kernels [--json <path>] [google-benchmark args]
  *   --json <path>  shorthand for --benchmark_out=<path>
@@ -24,7 +28,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,6 +57,23 @@ randomMatrix(int64_t r, int64_t c, uint64_t seed)
     return t;
 }
 
+/**
+ * The one `Fixture` of shape (m, k, n, v, c), built on first use.
+ * google-benchmark calls a benchmark function once per timing run, so a
+ * fixture built inside it would retrain its quantizer every run.
+ * Benchmarks run one at a time, so the cache needs no lock.
+ */
+template <class Fixture>
+Fixture &
+cachedFixture(int64_t m, int64_t k, int64_t n, int64_t v, int64_t c)
+{
+    static std::map<std::array<int64_t, 5>, std::unique_ptr<Fixture>> cache;
+    std::unique_ptr<Fixture> &slot = cache[{m, k, n, v, c}];
+    if (!slot)
+        slot = std::make_unique<Fixture>(m, k, n, v, c);
+    return *slot;
+}
+
 struct KernelFixture
 {
     KernelFixture(int64_t m, int64_t k, int64_t n, int64_t v, int64_t c)
@@ -67,29 +90,32 @@ struct KernelFixture
     std::unique_ptr<vq::LutGemmEngine> engine;
 };
 
-/** The serving arena + scratch for the split-phase benchmarks. */
+/** The serving arena over a KernelFixture, plus the float codes of its
+ * input rows, for the split-phase benchmarks. Benchmarks bring their own
+ * KernelScratch, so a cached fixture's codes stay the float codes. */
 struct ArenaFixture
 {
     ArenaFixture(int64_t m, int64_t k, int64_t n, int64_t v, int64_t c)
-        : fx(m, k, n, v, c),
+        : fx(cachedFixture<KernelFixture>(m, k, n, v, c)),
           arena(fx.engine->quantizer(), fx.engine->lut(), nullptr, false),
           y(static_cast<size_t>(m * n))
     {
+        lutboost::EncodeScratch scratch;
         arena.encodeBank(lutboost::EncodePrecision::Float32)
-            .encodeBatch(fx.a.data(), m, scratch.codes, scratch.encode);
+            .encodeBatch(fx.a.data(), m, codes, scratch);
     }
 
-    KernelFixture fx;
+    const KernelFixture &fx;
     lutboost::LutTableArena arena;
-    lutboost::KernelScratch scratch;
+    vq::CodeBuffer codes;
     std::vector<float> y;
 };
 
 void
 BM_ExactGemm(benchmark::State &state)
 {
-    KernelFixture fx(state.range(0), state.range(1), state.range(2), 4,
-                     16);
+    const KernelFixture &fx = cachedFixture<KernelFixture>(
+        state.range(0), state.range(1), state.range(2), 4, 16);
     for (auto _ : state) {
         Tensor c = matmul(fx.a, fx.w);
         benchmark::DoNotOptimize(c.data());
@@ -101,8 +127,8 @@ BM_ExactGemm(benchmark::State &state)
 void
 BM_LutGemm(benchmark::State &state)
 {
-    KernelFixture fx(state.range(0), state.range(1), state.range(2), 4,
-                     16);
+    const KernelFixture &fx = cachedFixture<KernelFixture>(
+        state.range(0), state.range(1), state.range(2), 4, 16);
     for (auto _ : state) {
         Tensor c = fx.engine->matmul(fx.a);
         benchmark::DoNotOptimize(c.data());
@@ -114,8 +140,8 @@ BM_LutGemm(benchmark::State &state)
 void
 BM_Encode(benchmark::State &state)
 {
-    KernelFixture fx(state.range(0), state.range(1), 64, state.range(2),
-                     16);
+    const KernelFixture &fx = cachedFixture<KernelFixture>(
+        state.range(0), state.range(1), 64, state.range(2), 16);
     for (auto _ : state) {
         auto codes = fx.engine->quantizer().encode(fx.a);
         benchmark::DoNotOptimize(codes.data());
@@ -125,8 +151,8 @@ BM_Encode(benchmark::State &state)
 void
 BM_Lookup(benchmark::State &state)
 {
-    KernelFixture fx(state.range(0), state.range(1), state.range(2), 4,
-                     16);
+    const KernelFixture &fx = cachedFixture<KernelFixture>(
+        state.range(0), state.range(1), state.range(2), 4, 16);
     auto codes = fx.engine->quantizer().encode(fx.a);
     for (auto _ : state) {
         Tensor c = fx.engine->lut().lookupGemm(codes, fx.a.dim(0));
@@ -153,18 +179,19 @@ forcedLevel(benchmark::State &state, util::SimdLevel *level)
 void
 BM_ArenaEncodeBatch(benchmark::State &state)
 {
-    ArenaFixture ax(state.range(0), state.range(1), 64, state.range(2),
-                    16);
+    ArenaFixture &ax = cachedFixture<ArenaFixture>(
+        state.range(0), state.range(1), 64, state.range(2), 16);
     const lutboost::EncodeBank &bank =
         ax.arena.encodeBank(lutboost::EncodePrecision::Float32);
+    lutboost::KernelScratch scratch;
     for (auto _ : state) {
-        bank.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), ax.scratch.codes,
-                         ax.scratch.encode);
-        benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
+        bank.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), scratch.codes,
+                         scratch.encode);
+        benchmark::DoNotOptimize(scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
     state.counters["code_bytes"] =
-        static_cast<double>(ax.scratch.codes.sizeBytes());
+        static_cast<double>(scratch.codes.sizeBytes());
 }
 
 /**
@@ -179,14 +206,15 @@ BM_ArenaEncodeInt8(benchmark::State &state)
     util::SimdLevel level;
     if (!forcedLevel(state, &level))
         return;
-    ArenaFixture ax(state.range(1), state.range(2), 64, state.range(3),
-                    16);
+    ArenaFixture &ax = cachedFixture<ArenaFixture>(
+        state.range(1), state.range(2), 64, state.range(3), 16);
     const auto bank = lutboost::makeEncodeBank(
         ax.arena, lutboost::EncodePrecision::Int8, level);
+    lutboost::KernelScratch scratch;
     for (auto _ : state) {
-        bank->encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), ax.scratch.codes,
-                          ax.scratch.encode);
-        benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
+        bank->encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0), scratch.codes,
+                          scratch.encode);
+        benchmark::DoNotOptimize(scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
     state.SetLabel(bank->kernelName());
@@ -207,11 +235,12 @@ gatherAtTier(benchmark::State &state, lutboost::TablePrecision precision)
     util::SimdLevel level;
     if (!forcedLevel(state, &level))
         return;
-    ArenaFixture ax(state.range(1), state.range(2), state.range(3), 4, 16);
+    ArenaFixture &ax = cachedFixture<ArenaFixture>(
+        state.range(1), state.range(2), state.range(3), 4, 16);
     const auto bank = lutboost::makeTableBank(ax.arena, precision, level);
+    lutboost::GatherScratch scratch;
     for (auto _ : state) {
-        bank->gather(ax.scratch.codes, 0, ax.scratch.codes.rows(),
-                     ax.y.data(), ax.scratch.gather);
+        bank->gather(ax.codes, 0, ax.codes.rows(), ax.y.data(), scratch);
         benchmark::DoNotOptimize(ax.y.data());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -245,23 +274,30 @@ BM_ArenaGatherInt4(benchmark::State &state)
  * gather). Registered at the resnet18 hot shape (K=4608, N=512, v=8,
  * c=16, one 64-row tile); both yield identical outputs.
  */
+lutboost::BankPair
+int4Int8EncBanks(const ArenaFixture &ax)
+{
+    return {&ax.arena.tableBank(lutboost::TablePrecision::Int4),
+            &ax.arena.encodeBank(lutboost::EncodePrecision::Int8)};
+}
+
 void
 tileInt4Int8Enc(benchmark::State &state, bool fused)
 {
-    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 8, 16);
-    const lutboost::BankPair banks{
-        &ax.arena.tableBank(lutboost::TablePrecision::Int4),
-        &ax.arena.encodeBank(lutboost::EncodePrecision::Int8)};
+    ArenaFixture &ax = cachedFixture<ArenaFixture>(
+        state.range(0), state.range(1), state.range(2), 8, 16);
+    const lutboost::BankPair banks = int4Int8EncBanks(ax);
     const int64_t rows = ax.fx.a.dim(0);
+    lutboost::KernelScratch scratch;
     for (auto _ : state) {
         if (fused) {
-            banks.forwardTile(ax.fx.a.data(), rows, ax.y.data(), ax.scratch,
+            banks.forwardTile(ax.fx.a.data(), rows, ax.y.data(), scratch,
                               nullptr, nullptr);
         } else {
-            banks.encode->encodeBatch(ax.fx.a.data(), rows, ax.scratch.codes,
-                                      ax.scratch.encode);
-            banks.table->gather(ax.scratch.codes, 0, rows, ax.y.data(),
-                                ax.scratch.gather);
+            banks.encode->encodeBatch(ax.fx.a.data(), rows, scratch.codes,
+                                      scratch.encode);
+            banks.table->gather(scratch.codes, 0, rows, ax.y.data(),
+                                scratch.gather);
         }
         benchmark::DoNotOptimize(ax.y.data());
         benchmark::ClobberMemory();
@@ -279,6 +315,32 @@ void
 BM_ArenaTileInt4Int8EncSplit(benchmark::State &state)
 {
     tileInt4Int8Enc(state, false);
+}
+
+/**
+ * The fused tile of a width-adapted trace layer at the resnet18 hot
+ * shape: 64 source rows of the fourth argument's width, read in place
+ * through the encode's cyclic view as K = 4608 rows (no adapted copy),
+ * on the INT4-table + INT8-encode plan. Next to
+ * BM_ArenaTileInt4Int8EncFused, which reads K-wide rows, it shows what
+ * the cyclic view costs.
+ */
+void
+BM_FusedTileAdapt(benchmark::State &state)
+{
+    ArenaFixture &ax = cachedFixture<ArenaFixture>(
+        state.range(0), state.range(1), state.range(2), 8, 16);
+    const lutboost::BankPair banks = int4Int8EncBanks(ax);
+    const int64_t rows = ax.fx.a.dim(0), pitch = state.range(3);
+    const Tensor source = randomMatrix(rows, pitch, 8);
+    lutboost::KernelScratch scratch;
+    for (auto _ : state) {
+        banks.forwardTile(source.data(), rows, ax.y.data(), scratch, nullptr,
+                          nullptr, pitch);
+        benchmark::DoNotOptimize(ax.y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows);
 }
 
 /**
@@ -408,6 +470,9 @@ BENCHMARK(BM_ArenaTileInt4Int8EncSplit)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaTileInt4Int8EncFused)
     ->Args({64, 4608, 512})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FusedTileAdapt)
+    ->Args({64, 4608, 512, 512})
     ->Unit(benchmark::kMicrosecond);
 
 int

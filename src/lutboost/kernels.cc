@@ -21,12 +21,12 @@ nanosSince(std::chrono::steady_clock::time_point start)
 void
 BankPair::forwardTile(const float *x, int64_t rows, float *y,
                       KernelScratch &scratch, uint64_t *encode_ns,
-                      uint64_t *gather_ns) const
+                      uint64_t *gather_ns, int64_t pitch) const
 {
     const int64_t chunk = table->chunkRows();
     if (chunk == 0) {
         const auto t0 = std::chrono::steady_clock::now();
-        encode->encodeBatch(x, rows, scratch.codes, scratch.encode);
+        encode->encodeBatch(x, rows, scratch.codes, scratch.encode, pitch);
         if (encode_ns != nullptr)
             *encode_ns += nanosSince(t0);
         const auto t1 = std::chrono::steady_clock::now();
@@ -39,14 +39,16 @@ BankPair::forwardTile(const float *x, int64_t rows, float *y,
     // the gather's planar lanes (the CCM -> IMM hand-off of the paper's
     // pipeline), so codes never round-trip through a packed CodeBuffer.
     const LutTableArena &arena = table->arena();
-    const int64_t k = arena.inFeatures(), n = arena.outFeatures();
+    const int64_t n = arena.outFeatures();
+    if (pitch == 0)
+        pitch = arena.inFeatures();
     std::vector<uint8_t> &planar = scratch.gather.planar;
     planar.resize(static_cast<size_t>(arena.numSubspaces() * chunk));
     for (int64_t r0 = 0; r0 < rows; r0 += chunk) {
         const int64_t m = std::min(chunk, rows - r0);
         const auto t0 = std::chrono::steady_clock::now();
-        encode->encodePlanar(x + r0 * k, m, planar.data(), chunk,
-                             scratch.encode);
+        encode->encodePlanar(x + r0 * pitch, m, planar.data(), chunk,
+                             scratch.encode, pitch);
         if (encode_ns != nullptr)
             *encode_ns += nanosSince(t0);
         const auto t1 = std::chrono::steady_clock::now();

@@ -69,9 +69,9 @@ prefetchSpan(const void *p, int64_t bytes)
 /**
  * Reusable per-caller buffers for one in-flight batch of kernel calls:
  * the packed code buffer the encode phase fills and the gather phase
- * reads, the encode-side scratch (BF16 staging, ragged-tail padding, code
- * planes), the fused width-adaptation plane, and the gather-side scratch
- * (unpacked codes, planar code lanes, shuffle accumulators). Owned by the
+ * reads, the encode-side scratch (BF16 staging, ragged-tail and wrapped
+ * subspace padding, code planes), and the gather-side scratch (unpacked
+ * codes, planar code lanes, shuffle accumulators). Owned by the
  * serving StageScratch so steady-state batches perform no allocations.
  * When a batch is sharded across workers, the CodeBuffer of the
  * INITIATING worker is shared (disjoint row spans never race) while each
@@ -79,10 +79,9 @@ prefetchSpan(const void *p, int64_t bytes)
  */
 struct KernelScratch
 {
-    vq::CodeBuffer codes;        ///< bit-packed [rows, Nc] indices
-    EncodeScratch encode;        ///< staging / padding / code planes
-    std::vector<float> adapted;  ///< width-adapted input rows
-    GatherScratch gather;        ///< unpacked / planar / colmajor scratch
+    vq::CodeBuffer codes;   ///< bit-packed [rows, Nc] indices
+    EncodeScratch encode;   ///< staging / padding / code planes
+    GatherScratch gather;   ///< unpacked / planar / colmajor scratch
 };
 
 /** The (table bank, encode bank) pair one LUT GEMM runs on; both banks
@@ -100,7 +99,9 @@ struct BankPair
     }
 
     /**
-     * Encode `rows` contiguous rows of `x` and gather them into `y`. When
+     * Encode `rows` rows of `x`, `pitch` floats apart (0 means the
+     * arena's K; any other pitch reads each row through the encode
+     * banks' cyclic view, see EncodeBank), and gather them into `y`. When
      * the table bank has a chunk kernel (TableBank::chunkRows() > 0),
      * each chunk is encoded straight into the gather's planar code lanes
      * and gathered from there — no CodeBuffer pack or unpack. Otherwise
@@ -112,7 +113,7 @@ struct BankPair
      */
     void forwardTile(const float *x, int64_t rows, float *y,
                      KernelScratch &scratch, uint64_t *encode_ns,
-                     uint64_t *gather_ns) const;
+                     uint64_t *gather_ns, int64_t pitch = 0) const;
 };
 
 /**

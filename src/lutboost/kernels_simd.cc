@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "lutboost/table_arena.h"
 #include "util/logging.h"
+#include "util/simd_lanes.h"
 
 namespace lutdla::lutboost::simd {
 
@@ -897,6 +899,109 @@ gatherChunkVnni(const int8_t *__restrict__ q_quad,
     }
 }
 
+// ---- Chunk transpose-out ---------------------------------------------------
+//
+// One body over a lane type (util/simd_lanes.h), as in nn/simd_math.cc.
+
+using namespace lanes;
+
+/**
+ * One stage of the in-register transpose: for the row pair (a, b) = (i,
+ * i + H), swap a's lanes with bit H set against b's lanes with bit H
+ * clear. That swaps bit H between the row and the lane index of every
+ * element, so running the stage for every H = 1, 2, ..., W / 2 maps
+ * element (row i, lane j) to (row j, lane i).
+ */
+template <class V, int64_t H, size_t... J>
+LUTDLA_LANE_INLINE void
+swapLaneBlocks(V &a, V &b, std::index_sequence<J...>)
+{
+    using I = typename LaneInt<V>::type;
+    constexpr int64_t W = kLanes<V>;
+    constexpr I lo{static_cast<int32_t>(
+        (static_cast<int64_t>(J) & H) ? W + J - H : J)...};
+    constexpr I hi{static_cast<int32_t>(
+        (static_cast<int64_t>(J) & H) ? W + J : J + H)...};
+    const V a2 = __builtin_shuffle(a, b, lo);
+    b = __builtin_shuffle(a, b, hi);
+    a = a2;
+}
+
+template <class V, int64_t H = 1>
+LUTDLA_LANE_INLINE void
+transposeLanes(V (&m)[kLanes<V>])
+{
+    constexpr int64_t W = kLanes<V>;
+    if constexpr (H < W) {
+        for (int64_t i = 0; i < W; ++i)
+            if ((i & H) == 0)
+                swapLaneBlocks<V, H>(m[i], m[i + H],
+                                     std::make_index_sequence<W>{});
+        transposeLanes<V, 2 * H>(m);
+    }
+}
+
+/**
+ * y[r, col] = colmajor[col * chunk + r] (+ bias[col]) for r < rows and
+ * col0 <= col < n: W x W tiles of W column loads, transposed in
+ * registers into W row stores, with the bias added on the way out. Tile
+ * loads may read rows past `rows` (still inside the chunk); only valid
+ * rows are stored. Columns past the last whole tile run the W = 1 body.
+ * Without a bias values are stored as they are (adding 0.0f would turn
+ * -0.0f into +0.0f).
+ */
+template <class V>
+LUTDLA_LANE_INLINE void
+transposeOutBody(const float *__restrict__ colmajor, int64_t chunk,
+                 int64_t n, int64_t rows, const float *__restrict__ bias,
+                 float *__restrict__ y, int64_t col0 = 0)
+{
+    constexpr int64_t W = kLanes<V>;
+    if constexpr (W == 1) {
+        for (int64_t r = 0; r < rows; ++r)
+            for (int64_t col = col0; col < n; ++col) {
+                const float value = colmajor[col * chunk + r];
+                y[r * n + col] = bias != nullptr ? value + bias[col] : value;
+            }
+    } else {
+        const int64_t n_tiles = n - n % W;
+        for (int64_t r0 = 0; r0 < rows; r0 += W) {
+            const int64_t rn = std::min(W, rows - r0);
+            for (int64_t c0 = 0; c0 < n_tiles; c0 += W) {
+                V m[W];
+                for (int64_t i = 0; i < W; ++i)
+                    m[i] = load<V>(colmajor + (c0 + i) * chunk + r0);
+                transposeLanes<V>(m);
+                if (bias != nullptr) {
+                    const V b = load<V>(bias + c0);
+                    for (int64_t j = 0; j < rn; ++j)
+                        store(y + (r0 + j) * n + c0, m[j] + b);
+                } else {
+                    for (int64_t j = 0; j < rn; ++j)
+                        store(y + (r0 + j) * n + c0, m[j]);
+                }
+            }
+        }
+        if (n_tiles < n)
+            transposeOutBody<float>(colmajor, chunk, n, rows, bias, y,
+                                    n_tiles);
+    }
+}
+
+__attribute__((target("avx2"))) void
+transposeOutAvx2(const float *colmajor, int64_t chunk, int64_t n,
+                 int64_t rows, const float *bias, float *y)
+{
+    transposeOutBody<F8>(colmajor, chunk, n, rows, bias, y);
+}
+
+__attribute__((target("avx512f"))) void
+transposeOutAvx512(const float *colmajor, int64_t chunk, int64_t n,
+                   int64_t rows, const float *bias, float *y)
+{
+    transposeOutBody<F16>(colmajor, chunk, n, rows, bias, y);
+}
+
 } // namespace
 
 bool
@@ -1046,6 +1151,24 @@ shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
                  "shuffleGatherChunkInt4 requires AVX2 or AVX-512");
     gatherChunkInt4Avx2(q4_il, scales, planar, num_subspaces, n,
                         num_blocks, scale_group, block_cols, colmajor);
+}
+
+void
+transposeChunkOut(util::SimdLevel level, const float *colmajor,
+                  int64_t chunk, int64_t n, int64_t rows, const float *bias,
+                  float *y)
+{
+    LUTDLA_CHECK(level <= util::simdLevel(), "transposeChunkOut at ",
+                 util::simdLevelName(level), " exceeds this CPU's ",
+                 util::simdLevelName(util::simdLevel()));
+    LUTDLA_CHECK(rows >= 0 && rows <= chunk,
+                 "transposeChunkOut copies out at most one chunk of rows");
+    if (level >= util::SimdLevel::Avx512 && chunk % 16 == 0)
+        transposeOutAvx512(colmajor, chunk, n, rows, bias, y);
+    else if (level >= util::SimdLevel::Avx2 && chunk % 8 == 0)
+        transposeOutAvx2(colmajor, chunk, n, rows, bias, y);
+    else
+        transposeOutBody<float>(colmajor, chunk, n, rows, bias, y);
 }
 
 } // namespace lutdla::lutboost::simd

@@ -12,7 +12,7 @@
  * arena kernels used to rely on. See docs/SERVING.md for the full
  * dispatch matrix (ISA x code width x table precision).
  *
- * Three kernel families:
+ * The kernel families, plus the chunk transpose-out the gathers share:
  *
  *  - float encode: fused L2 distance + argmin for the flagship c == 16
  *    shape, keeping all 16 per-centroid accumulators in one register
@@ -211,6 +211,20 @@ void vnniGatherChunk(const int8_t *q_quad, const float *scales,
                      const uint8_t *planar, int64_t num_subspaces,
                      int64_t n, int64_t num_blocks, int64_t scale_group,
                      int64_t block_cols, float *colmajor);
+
+/**
+ * Copy one chunk's column-major accumulators out to row-major rows, the
+ * bias added as each value is stored: y[r * n + col] =
+ * colmajor[col * chunk + r] + bias[col] for r < rows (bias may be null:
+ * values are then stored as they are, -0.0f included). The AVX-512 tier
+ * transposes 16 x 16 tiles in registers, AVX2 8 x 8 (each needs `chunk`
+ * a multiple of its tile, else it runs the next tier down), generic the
+ * scalar loop; all move values unchanged or add once, so every tier
+ * returns the same bits. Tiles may read the chunk's rows past `rows`.
+ */
+void transposeChunkOut(util::SimdLevel level, const float *colmajor,
+                       int64_t chunk, int64_t n, int64_t rows,
+                       const float *bias, float *y);
 
 } // namespace lutdla::lutboost::simd
 

@@ -136,33 +136,40 @@ LutTableArena::freeze(TablePrecision table, EncodePrecision encode)
 }
 
 const float *
-LutTableArena::subspaceRows(const float *x, int64_t rows, int64_t s,
-                            EncodeScratch &scratch, int64_t &stride) const
+LutTableArena::subspaceRows(const float *x, int64_t rows, int64_t pitch,
+                            int64_t s, EncodeScratch &scratch,
+                            int64_t &stride) const
 {
     const int64_t v = subvector_len_;
     const int64_t base = s * v;
-    if (base + v <= in_features_) {
-        stride = in_features_;
-        return x + base;
+    const int64_t offset = base % pitch;
+    if (base + v <= in_features_ && offset + v <= pitch) {
+        stride = pitch;
+        return x + offset;
     }
+    // A subspace that wraps the source row, or the ragged tail: gather it
+    // through the cyclic view, zero past K.
     scratch.padded.assign(static_cast<size_t>(rows * v), 0.0f);
+    const int64_t width = std::min(v, in_features_ - base);
     for (int64_t i = 0; i < rows; ++i) {
-        const float *row = x + i * in_features_;
+        const float *row = x + i * pitch;
         float *dst = scratch.padded.data() + i * v;
-        for (int64_t t = 0; base + t < in_features_; ++t)
-            dst[t] = row[base + t];
+        for (int64_t t = 0, col = offset; t < width; ++t) {
+            dst[t] = row[col];
+            col = col + 1 == pitch ? 0 : col + 1;
+        }
     }
     stride = v;
     return scratch.padded.data();
 }
 
 const float *
-LutTableArena::stageInputs(const float *x, int64_t rows,
+LutTableArena::stageInputs(const float *x, int64_t rows, int64_t pitch,
                            EncodeScratch &scratch) const
 {
     if (!bf16_inputs_)
         return x;
-    scratch.staging.assign(x, x + rows * in_features_);
+    scratch.staging.assign(x, x + rows * pitch);
     for (float &value : scratch.staging)
         value = vq::toBf16(value);
     return scratch.staging.data();

@@ -172,19 +172,28 @@ class LutTableArena
     /** Add the packed bias row to `bn` output rows (no-op without bias). */
     void addBias(float *yb, int64_t bn) const;
 
-    /** BF16-round rows [0, rows) of `x` into scratch.staging when the
-     * arena demands it; returns the rows the encode kernels read. */
-    const float *stageInputs(const float *x, int64_t rows,
+    /** The packed bias row, or null without bias. */
+    const float *bias() const { return has_bias_ ? bias_.data() : nullptr; }
+
+    /** BF16-round rows [0, rows) of `x` (row i at x + i * pitch) into
+     * scratch.staging when the arena demands it; returns the rows the
+     * encode kernels read, at the same pitch. */
+    const float *stageInputs(const float *x, int64_t rows, int64_t pitch,
                              EncodeScratch &scratch) const;
 
     /**
-     * Rows of subspace `s` as the encode kernels read them: in place
-     * (stride K) for a full subspace, or — for the ragged tail of
-     * K % v != 0 — zero-padded into scratch.padded ([rows, v], stride v),
-     * exactly like ProductQuantizer::extractSubvector.
+     * Rows of subspace `s` as the encode kernels read them, through the
+     * cyclic view of source rows `pitch` floats apart: input column j of
+     * the layer reads source column j % pitch, so a pitch below K
+     * replicates each row cyclically and a pitch above K truncates it
+     * (the trace models' width adaptation). A subvector that lies
+     * contiguous in the source row is read in place (stride `pitch`);
+     * one that wraps, or the ragged tail of K % v != 0, is gathered —
+     * zero-padded past K, exactly like ProductQuantizer::extractSubvector
+     * — into scratch.padded ([rows, v], stride v).
      */
-    const float *subspaceRows(const float *x, int64_t rows, int64_t s,
-                              EncodeScratch &scratch,
+    const float *subspaceRows(const float *x, int64_t rows, int64_t pitch,
+                              int64_t s, EncodeScratch &scratch,
                               int64_t &stride) const;
 
     /**

@@ -91,28 +91,6 @@ checkGatherSpan(const vq::CodeBuffer &codes, int64_t num_subspaces,
 }
 
 /**
- * Transpose the first `valid_rows` rows of one chunk's column-major
- * accumulators ([n, chunk]) into the row-major output block
- * ([valid_rows, n]). 16x16 tiles keep both sides cache-friendly; values
- * are moved, never recomputed, so this cannot perturb numerics.
- */
-inline void
-transposeColMajor(const float *__restrict__ colmajor, int64_t chunk,
-                  int64_t n, int64_t valid_rows, float *__restrict__ yb)
-{
-    constexpr int64_t T = 16;
-    for (int64_t r0 = 0; r0 < valid_rows; r0 += T) {
-        const int64_t r1 = std::min(valid_rows, r0 + T);
-        for (int64_t c0 = 0; c0 < n; c0 += T) {
-            const int64_t c1 = std::min(n, c0 + T);
-            for (int64_t r = r0; r < r1; ++r)
-                for (int64_t col = c0; col < c1; ++col)
-                    yb[r * n + col] = colmajor[col * chunk + r];
-        }
-    }
-}
-
-/**
  * Float sweep, row-major reference shape: best for tiny blocks, where the
  * output row lives in L1 and each table entry is one contiguous stream.
  * `table` is the [Nc, c, n] PSum table.
@@ -743,18 +721,19 @@ class FloatEncodeBank final : public EncodeBank
 
   protected:
     void
-    encodeRows(const float *x, int64_t rows, EncodeScratch &scratch,
-               const CodeSink &sink) const override
+    encodeRows(const float *x, int64_t rows, int64_t pitch,
+               EncodeScratch &scratch, const CodeSink &sink) const override
     {
         switch (arena_.metric()) {
           case vq::Metric::L2:
-            encodeRowsImpl<vq::Metric::L2>(x, rows, scratch, sink);
+            encodeRowsImpl<vq::Metric::L2>(x, rows, pitch, scratch, sink);
             return;
           case vq::Metric::L1:
-            encodeRowsImpl<vq::Metric::L1>(x, rows, scratch, sink);
+            encodeRowsImpl<vq::Metric::L1>(x, rows, pitch, scratch, sink);
             return;
           case vq::Metric::Chebyshev:
-            encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, scratch, sink);
+            encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, pitch, scratch,
+                                                  sink);
             return;
         }
     }
@@ -762,8 +741,8 @@ class FloatEncodeBank final : public EncodeBank
   private:
     template <vq::Metric M>
     void
-    encodeRowsImpl(const float *x, int64_t rows, EncodeScratch &scratch,
-                   const CodeSink &sink) const
+    encodeRowsImpl(const float *x, int64_t rows, int64_t pitch,
+                   EncodeScratch &scratch, const CodeSink &sink) const
     {
         const int64_t v = arena_.subvectorLen(), c = arena_.numCentroids();
         if (!c16_ && !generic_)
@@ -772,7 +751,8 @@ class FloatEncodeBank final : public EncodeBank
         // the whole batch instead of streaming every codebook per row.
         for (int64_t s = 0; s < arena_.numSubspaces(); ++s) {
             int64_t stride = 0;
-            const float *xs = arena_.subspaceRows(x, rows, s, scratch, stride);
+            const float *xs =
+                arena_.subspaceRows(x, rows, pitch, s, scratch, stride);
             const float *cbt = arena_.codebookT(s);
             if (c16_ || generic_) {
                 uint8_t *out = sink.plane(s);
@@ -899,8 +879,8 @@ class Int8EncodeBank final : public EncodeBank
 
   protected:
     void
-    encodeRows(const float *x, int64_t rows, EncodeScratch &scratch,
-               const CodeSink &sink) const override
+    encodeRows(const float *x, int64_t rows, int64_t pitch,
+               EncodeScratch &scratch, const CodeSink &sink) const override
     {
         const int64_t v = arena_.subvectorLen(), c = arena_.numCentroids();
         if (!vector_)
@@ -910,7 +890,8 @@ class Int8EncodeBank final : public EncodeBank
         // the ragged tail is zero-padded and encoded like a full subspace.
         for (int64_t s = 0; s < arena_.numSubspaces(); ++s) {
             int64_t stride = 0;
-            const float *xs = arena_.subspaceRows(x, rows, s, scratch, stride);
+            const float *xs =
+                arena_.subspaceRows(x, rows, pitch, s, scratch, stride);
             const int32_t *norms = norms_.data() + s * norm_stride_;
             const float lo = lo_[static_cast<size_t>(s)];
             const float inv = inv_[static_cast<size_t>(s)];
@@ -1032,7 +1013,10 @@ TableBank::gatherPlanar(int64_t rows, float *y, GatherScratch &scratch) const
                           planar + (s + 1) * chunk_, uint8_t{0});
         scratch.colmajor.resize(static_cast<size_t>(n * chunk_));
         chunkKernel(planar, scratch.colmajor.data());
-        transposeColMajor(scratch.colmajor.data(), chunk_, n, rows, y);
+        // The bias rides the transpose's stores, exactly the one add
+        // addBias() would make afterwards.
+        simd::transposeChunkOut(level_, scratch.colmajor.data(), chunk_, n,
+                                rows, arena_.bias(), y);
     } else {
         // Small tail: identical group scales and exact integer
         // accumulation in the scalar sweep, so the seam between paths is
@@ -1044,8 +1028,8 @@ TableBank::gatherPlanar(int64_t rows, float *y, GatherScratch &scratch) const
                 codes[i * nc + s] = planar[s * chunk_ + i];
         std::fill(y, y + rows * n, 0.0f);
         sweepRows(codes, rows, y);
+        arena_.addBias(y, rows);
     }
-    arena_.addBias(y, rows);
 }
 
 void
@@ -1062,33 +1046,45 @@ EncodeBank::EncodeBank(const LutTableArena &arena, util::SimdLevel level)
     checkTier(level);
 }
 
+int64_t
+EncodeBank::resolvePitch(int64_t pitch) const
+{
+    LUTDLA_CHECK(pitch >= 0, "negative source row pitch ", pitch);
+    return pitch > 0 ? pitch : arena_.inFeatures();
+}
+
 void
 EncodeBank::encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                        EncodeScratch &scratch) const
+                        EncodeScratch &scratch, int64_t pitch) const
 {
     codes.reset(rows, arena_.numSubspaces(), arena_.numCentroids());
-    encodeBlock(x, 0, rows, codes, scratch);
+    encodeBlock(x, 0, rows, codes, scratch, pitch);
 }
 
 void
 EncodeBank::encodeBlock(const float *x, int64_t row0, int64_t rows,
-                        vq::CodeBuffer &codes, EncodeScratch &scratch) const
+                        vq::CodeBuffer &codes, EncodeScratch &scratch,
+                        int64_t pitch) const
 {
+    pitch = resolvePitch(pitch);
     const float *xb =
-        arena_.stageInputs(x + row0 * arena_.inFeatures(), rows, scratch);
+        arena_.stageInputs(x + row0 * pitch, rows, pitch, scratch);
     scratch.plane.resize(static_cast<size_t>(rows));
-    encodeRows(xb, rows, scratch,
+    encodeRows(xb, rows, pitch, scratch,
                CodeSink{&codes, row0, scratch.plane.data(), 0});
 }
 
 void
 EncodeBank::encodePlanar(const float *x, int64_t rows, uint8_t *planar,
-                         int64_t stride, EncodeScratch &scratch) const
+                         int64_t stride, EncodeScratch &scratch,
+                         int64_t pitch) const
 {
     LUTDLA_CHECK(arena_.numCentroids() <= 256 && rows <= stride,
                  "planar encode needs c <= 256 and rows <= stride");
-    const float *xb = arena_.stageInputs(x, rows, scratch);
-    encodeRows(xb, rows, scratch, CodeSink{nullptr, 0, planar, stride});
+    pitch = resolvePitch(pitch);
+    const float *xb = arena_.stageInputs(x, rows, pitch, scratch);
+    encodeRows(xb, rows, pitch, scratch,
+               CodeSink{nullptr, 0, planar, stride});
 }
 
 // ---- Factories ---------------------------------------------------------

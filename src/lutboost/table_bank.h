@@ -88,7 +88,8 @@ const char *encodePrecisionName(EncodePrecision precision);
 
 /**
  * Reusable per-caller encode scratch: the BF16-rounded input rows, the
- * zero-padded ragged tail subspace, one subspace's code plane on its way
+ * gathered subspace (a zero-padded ragged tail, or one that wraps a
+ * narrower source row), one subspace's code plane on its way
  * into a packed CodeBuffer, and the scalar scans' per-row buffers.
  * Caller-owned so steady-state batches perform no allocations; one per
  * concurrent caller.
@@ -96,7 +97,7 @@ const char *encodePrecisionName(EncodePrecision precision);
 struct EncodeScratch
 {
     std::vector<float> staging;  ///< BF16-rounded input rows
-    std::vector<float> padded;   ///< [rows, v] zero-padded tail subspace
+    std::vector<float> padded;   ///< [rows, v] gathered tail / wrap
     std::vector<uint8_t> plane;  ///< [rows] one subspace's codes
     std::vector<float> dist;     ///< [c] float scan distances
     std::vector<int32_t> xq;     ///< [v] INT8 scan grid levels
@@ -196,6 +197,12 @@ struct CodeSink;
  * rows into a packed CodeBuffer span or straight into planar code lanes.
  * BF16 input rounding (when the arena demands it) and zero padding of a
  * ragged tail subspace apply in every entry point.
+ *
+ * Every entry point reads its source rows `pitch` floats apart (0 means
+ * the arena's K) through LutTableArena::subspaceRows' cyclic view: layer
+ * input column j reads source column j % pitch. A width-adapted trace
+ * layer thus encodes its narrower (or wider) source rows in place, with
+ * nothing staged.
  */
 class alignas(64) EncodeBank
 {
@@ -205,7 +212,7 @@ class alignas(64) EncodeBank
     /** Resize `codes` for [rows, Nc] at the arena's code width and fill
      * it. Thread-safe with distinct scratch. */
     void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     EncodeScratch &scratch) const;
+                     EncodeScratch &scratch, int64_t pitch = 0) const;
 
     /**
      * Shardable encode span: encode rows [row0, row0 + rows) of the full
@@ -213,7 +220,8 @@ class alignas(64) EncodeBank
      * byte-aligned, so shards writing disjoint row spans never race.
      */
     void encodeBlock(const float *x, int64_t row0, int64_t rows,
-                     vq::CodeBuffer &codes, EncodeScratch &scratch) const;
+                     vq::CodeBuffer &codes, EncodeScratch &scratch,
+                     int64_t pitch = 0) const;
 
     /**
      * Encode `rows` rows of `x` into planar code lanes: the code of
@@ -222,7 +230,8 @@ class alignas(64) EncodeBank
      * TableBank::gatherPlanar reads. Requires c <= 256.
      */
     void encodePlanar(const float *x, int64_t rows, uint8_t *planar,
-                      int64_t stride, EncodeScratch &scratch) const;
+                      int64_t stride, EncodeScratch &scratch,
+                      int64_t pitch = 0) const;
 
     /** Bytes one encode sweep streams in the canonical layout (float
      * codebooks, or INT8 codes + norms + grid; host-independent). */
@@ -239,10 +248,14 @@ class alignas(64) EncodeBank
     /** Checks that `level` runs on this CPU. */
     EncodeBank(const LutTableArena &arena, util::SimdLevel level);
 
-    /** Encode `rows` already-staged rows into `sink`. */
-    virtual void encodeRows(const float *x, int64_t rows,
+    /** Encode `rows` already-staged rows, `pitch` floats apart, into
+     * `sink`. */
+    virtual void encodeRows(const float *x, int64_t rows, int64_t pitch,
                             EncodeScratch &scratch,
                             const CodeSink &sink) const = 0;
+
+    /** The source pitch an entry point's `pitch` argument names. */
+    int64_t resolvePitch(int64_t pitch) const;
 
     const LutTableArena &arena_;
     util::SimdLevel level_;

@@ -26,35 +26,13 @@
 #include "nn/activations.h"
 #include "nn/attention.h"
 #include "util/logging.h"
-
-#define LUTDLA_LANE_INLINE inline __attribute__((always_inline))
+#include "util/simd_lanes.h"
 
 namespace lutdla::nn {
 
 namespace {
 
-typedef float F8 __attribute__((vector_size(32)));
-typedef int32_t I8 __attribute__((vector_size(32)));
-typedef float F16 __attribute__((vector_size(64)));
-typedef int32_t I16 __attribute__((vector_size(64)));
-
-/** Lane count of a lane type. */
-template <class V>
-constexpr int64_t kLanes = static_cast<int64_t>(sizeof(V) / sizeof(float));
-
-/** The int32 vector as wide as a float lane type. */
-template <class V>
-struct LaneInt;
-template <>
-struct LaneInt<F8>
-{
-    using type = I8;
-};
-template <>
-struct LaneInt<F16>
-{
-    using type = I16;
-};
+using namespace lanes;
 
 /** {0, 1, ..., W - 1} as an int32 lane vector. */
 template <class I, size_t... C>
@@ -72,22 +50,6 @@ splat(float f)
         return f;
     else  // lane-0 broadcast: one VBROADCASTSS
         return __builtin_shuffle(V{f}, typename LaneInt<V>::type{});
-}
-
-template <class V>
-LUTDLA_LANE_INLINE V
-load(const float *p)
-{
-    V v;
-    std::memcpy(&v, p, sizeof(V));
-    return v;
-}
-
-template <class V>
-LUTDLA_LANE_INLINE void
-store(float *p, V v)
-{
-    std::memcpy(p, &v, sizeof(V));
 }
 
 /** x86 MINPS / MAXPS semantics (second operand on NaN), written the same

@@ -187,7 +187,7 @@ struct TilePlan
      * table sweeps for the tiling. */
     int64_t granule = 1;
     /** Streamed working-set bytes per tile row at the segment's widest
-     * stage (in-plane + out-plane + codes + adapt staging) — what the
+     * stage (in-plane + out-plane + codes + adapt reads) — what the
      * auto tile-size model fits into PlanOptions::tile_cache_bytes. */
     int64_t row_bytes = 0;
 };

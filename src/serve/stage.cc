@@ -147,7 +147,10 @@ int64_t
 ArenaStage::tileScratchBytesPerRow() const
 {
     // Packed centroid codes the tile carries between encode and gather,
-    // plus the width-adapt materialization when a prologue was fused in.
+    // plus, when a width-adapt prologue was fused in, the K floats per
+    // row the encode's cyclic view reads: nothing is staged, but a source
+    // row narrower than K is re-read K / pitch times per tile, and
+    // keeping the term holds the tile size that measured fastest.
     // Knowingly approximate for fused quantized tiles: they hand off one
     // chunk's [Nc, chunk] code bytes and [N, chunk] colmajor floats,
     // which do not grow with tile rows, instead of packed codes.
@@ -163,7 +166,7 @@ void
 arenaGemmForward(const lutboost::BankPair &banks, const float *in,
                  int64_t rows, float *out, int64_t shard_rows,
                  const std::vector<PointwiseOp> &epilogue,
-                 StageScratch &scratch)
+                 StageScratch &scratch, int64_t pitch)
 {
     // Shard both phases over the serving worker pool when the batch is
     // big enough to split (rows are independent, so the sharded sweep is
@@ -180,7 +183,7 @@ arenaGemmForward(const lutboost::BankPair &banks, const float *in,
         // The fused tile entry point: whole-batch execution is just the
         // one-tile case of the streaming executor's per-tile sweep.
         banks.forwardTile(in, rows, out, scratch.kernel, &scratch.encode_ns,
-                          &scratch.gather_ns);
+                          &scratch.gather_ns, pitch);
         const auto t1 = Clock::now();
         applyPointwiseOps(epilogue, out, rows * out_width);
         scratch.gather_ns += nanosSince(t1);
@@ -196,7 +199,7 @@ arenaGemmForward(const lutboost::BankPair &banks, const float *in,
             const int64_t r0 = block * shard;
             const int64_t rn = std::min(shard, rows - r0);
             banks.encode->encodeBlock(in, r0, rn, codes,
-                                      local.kernel.encode);
+                                      local.kernel.encode, pitch);
         },
         scratch);
     scratch.encode_ns += nanosSince(t0);
@@ -221,33 +224,10 @@ void
 ArenaStage::forward(const float *in, int64_t rows, float *out,
                     StageScratch &scratch) const
 {
-    const float *src = in;
-    if (adapt_in_ > 0) {
-        // Fused width-adapt prologue: materialize the cyclically
-        // replicated rows into kernel scratch instead of running a whole
-        // extra stage (and ping-pong plane) for them. Charged to the
-        // encode phase like the historical inline path.
-        const auto t0 = Clock::now();
-        const int64_t k = arena_->inFeatures();
-        scratch.kernel.adapted.resize(static_cast<size_t>(rows * k));
-        float *dst = scratch.kernel.adapted.data();
-        for (int64_t r = 0; r < rows; ++r) {
-            const float *row = in + r * adapt_in_;
-            float *drow = dst + r * k;
-            // Cyclic replication as whole-period copies (one ragged
-            // tail), not a per-element modulo — the division unit is far
-            // slower than the copy itself at trace widths.
-            for (int64_t j = 0; j < k; j += adapt_in_)
-                std::memcpy(drow + j, row,
-                            static_cast<size_t>(
-                                std::min(adapt_in_, k - j)) *
-                                sizeof(float));
-        }
-        src = dst;
-        scratch.encode_ns += nanosSince(t0);
-    }
-    arenaGemmForward(binding_.banks(), src, rows, out, shard_rows_,
-                     epilogue_, scratch);
+    // A fused width-adapt prologue costs nothing here: the encode reads
+    // the adapt_in_-wide rows in place through its cyclic view.
+    arenaGemmForward(binding_.banks(), in, rows, out, shard_rows_,
+                     epilogue_, scratch, adapt_in_);
 }
 
 ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,

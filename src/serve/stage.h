@@ -19,9 +19,10 @@
  * bit-exact, INT8 / INT4 tables, float or INT8 encode), runs encode
  * (rows -> centroid codes) and gather (codes -> accumulated table rows)
  * through those banks, and then applies any epilogue ops
- * the planner fused in (pointwise activations, trace width adaptation)
- * while the output is still cache-hot. The two phase times are
- * accumulated into StageScratch for EngineStats.
+ * the planner fused in (pointwise activations) while the output is still
+ * cache-hot. A fused trace width adaptation costs no pass of its own:
+ * the encode reads the source rows through a cyclic view. The two phase
+ * times are accumulated into StageScratch for EngineStats.
  *
  * Layout contract: a batch is always a [rows, width] row-major matrix of
  * floats. Spatial stages interpret each row as a flattened NCHW image
@@ -211,8 +212,8 @@ class FrozenStage
 
     /**
      * Per-row kernel-scratch bytes a tile of this stage streams beyond
-     * its in/out planes (packed codes, width-adapt materialization);
-     * input to the planner's tile-size model. 0 for glue stages.
+     * its in/out planes (packed codes, a width-adapted encode's cyclic
+     * reads); input to the planner's tile-size model. 0 for glue stages.
      */
     virtual int64_t tileScratchBytesPerRow() const { return 0; }
 
@@ -285,8 +286,10 @@ class LutBinding
 
 /**
  * The arena LUT-GEMM execution body shared by ArenaStage and
- * AttentionStage's four projection GEMMs: encode `in` ([rows, arena K])
- * then gather into `out` ([rows, arena N]) over `banks` (one arena's
+ * AttentionStage's four projection GEMMs: encode `in` ([rows, pitch];
+ * pitch 0 means the arena's K, any other pitch is read through the
+ * encode banks' cyclic view) then gather into `out` ([rows, arena N])
+ * over `banks` (one arena's
  * bound pair, see LutBinding), applying `epilogue` on the output while
  * it is cache-hot, with phase times accumulated into scratch.encode_ns /
  * gather_ns. When `shard_rows` > 0 and `scratch.pool` is set, batches of
@@ -298,16 +301,17 @@ class LutBinding
 void arenaGemmForward(const lutboost::BankPair &banks, const float *in,
                       int64_t rows, float *out, int64_t shard_rows,
                       const std::vector<PointwiseOp> &epilogue,
-                      StageScratch &scratch);
+                      StageScratch &scratch, int64_t pitch = 0);
 
 /**
  * Arena-backed LUT-GEMM stage (lowered LutLinear): encode -> gather
  * over the bound bank pair, then any fused epilogue. The
  * optional `adapt_in_width` prologue absorbs a preceding WidthAdaptStage
  * (trace models): the stage then consumes `adapt_in_width`-wide rows and
- * cyclically replicates them to the arena width in scratch before
- * encoding. When the planner set a shard granularity (`shard_rows`) and
- * the executing scratch carries an IntraBatchPool, batches of at least
+ * the encode reads them in place through a cyclic view (arena column j
+ * reads source column j % adapt_in_width), so no adapted row is ever
+ * materialized. When the planner set a shard granularity (`shard_rows`)
+ * and the executing scratch carries an IntraBatchPool, batches of at least
  * two shards run each phase as a parallel-for over row blocks: encode
  * shards fill disjoint rows of one shared CodeBuffer, gather shards fill
  * disjoint output rows (epilogue included, still cache-hot) — bit-exact
@@ -652,9 +656,10 @@ class LayerNormStage : public FrozenStage
  * Cyclic width adapter used only by trace-synthesized models, whose
  * consecutive GEMM widths need not chain: each output column j copies
  * input column j % inWidth, preserving each traced layer's true gather
- * workload. The planner fuses these into the following ArenaStage as an
- * encode prologue; an unfused node survives only when fusion is off or
- * no LUT stage follows.
+ * workload. The planner fuses these into the following ArenaStage, whose
+ * encode then reads the same columns in place through a cyclic view; an
+ * unfused node (the one place adapted rows are materialized) survives
+ * only when fusion is off or no LUT stage follows.
  */
 class WidthAdaptStage : public FrozenStage
 {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
 
@@ -694,6 +695,135 @@ TEST(FusedTileScratch, WarmForwardTileAllocatesNothing)
             << lutboost::encodePrecisionName(tc.encode)
             << " rows=" << tc.rows;
     }
+}
+
+// ---- Property: the chunk transpose-out moves values bit for bit -------
+
+/** Bitwise equality of two float spans: tells -0.0f from +0.0f. */
+bool
+sameBits(const float *a, const float *b, int64_t count)
+{
+    return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) ==
+           0;
+}
+
+/**
+ * TableBank::gatherPlanar copies each chunk's column-major accumulators
+ * out through simd::transposeChunkOut, the bias added as it stores. For
+ * every tier with a chunk kernel, both quantized table precisions, widths
+ * around the 8/16-column transpose tiles and every row count the vector
+ * pass serves (chunk / 4 .. chunk), the output must be exactly the scalar
+ * transpose of the accumulators the chunk kernel left in scratch, plus
+ * the bias when the layer has one.
+ */
+class TransposeOutBitIdentity : public ::testing::TestWithParam<int64_t>
+{
+};
+
+TEST_P(TransposeOutBitIdentity, GatherPlanarMatchesScalarTransposePlusBias)
+{
+    const int64_t n = GetParam();
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    for (const bool bias : {true, false}) {
+        lutboost::LutLinear layer(36, n, pq, bias,
+                                  /*seed=*/static_cast<uint64_t>(n));
+        layer.refreshInferenceLut();
+        const auto arena = layer.inferenceArena();
+        ASSERT_EQ(arena->bias() != nullptr, bias);
+        const int64_t nc = arena->numSubspaces();
+        for (const util::SimdLevel level : tiersUpToHost())
+            for (const auto table : {lutboost::TablePrecision::Int8,
+                                     lutboost::TablePrecision::Int4}) {
+                const auto bank =
+                    lutboost::makeTableBank(*arena, table, level);
+                const int64_t chunk = bank->chunkRows();
+                if (chunk == 0)
+                    continue;  // no planar gather on this tier
+                Rng rng(static_cast<uint64_t>(n * 7 + chunk));
+                std::vector<uint8_t> codes(static_cast<size_t>(nc * chunk));
+                for (uint8_t &code : codes)
+                    code = static_cast<uint8_t>(rng.uniformInt(0, 15));
+                lutboost::GatherScratch scratch;
+                for (int64_t rows = chunk / 4; rows <= chunk; ++rows) {
+                    scratch.planar = codes;
+                    std::vector<float> got(static_cast<size_t>(rows * n));
+                    bank->gatherPlanar(rows, got.data(), scratch);
+                    std::vector<float> want(got.size());
+                    for (int64_t r = 0; r < rows; ++r)
+                        for (int64_t col = 0; col < n; ++col) {
+                            float value =
+                                scratch.colmajor[static_cast<size_t>(
+                                    col * chunk + r)];
+                            if (bias)
+                                value += arena->bias()[col];
+                            want[static_cast<size_t>(r * n + col)] = value;
+                        }
+                    EXPECT_TRUE(sameBits(got.data(), want.data(), rows * n))
+                        << bank->kernelName() << " at "
+                        << util::simdLevelName(level) << " n=" << n
+                        << " rows=" << rows << " bias=" << bias;
+                }
+            }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, TransposeOutBitIdentity,
+                         ::testing::Values<int64_t>(1, 15, 16, 17, 33, 513));
+
+/**
+ * The kernel itself, at every tier (generic included) and both chunk
+ * heights: without a bias every accumulator is stored as it is — -0.0f
+ * and NaN payloads included, which adding a 0.0f bias would not keep —
+ * and with one each value gets exactly one float add.
+ */
+TEST(TransposeOut, KernelStoresAccumulatorsAsTheyAre)
+{
+    for (const int64_t chunk : {int64_t{32}, int64_t{64}})
+        for (const int64_t n : {int64_t{1}, int64_t{17}, int64_t{33}}) {
+            Rng rng(static_cast<uint64_t>(chunk + n));
+            std::vector<float> colmajor(static_cast<size_t>(n * chunk));
+            for (float &value : colmajor)
+                value = static_cast<float>(rng.gaussian(0.0, 1.0));
+            for (size_t i = 0; i < colmajor.size(); i += 3)
+                colmajor[i] = -0.0f;
+            colmajor[1] = std::numeric_limits<float>::quiet_NaN();
+            std::vector<float> bias(static_cast<size_t>(n));
+            for (float &value : bias)
+                value = static_cast<float>(rng.gaussian(0.0, 1.0));
+            for (const util::SimdLevel level : tiersUpToHost())
+                for (int64_t rows = 1; rows <= chunk; rows += 7) {
+                    std::vector<float> plain(static_cast<size_t>(rows * n));
+                    std::vector<float> biased(plain.size());
+                    lutboost::simd::transposeChunkOut(level, colmajor.data(),
+                                                      chunk, n, rows, nullptr,
+                                                      plain.data());
+                    lutboost::simd::transposeChunkOut(level, colmajor.data(),
+                                                      chunk, n, rows,
+                                                      bias.data(),
+                                                      biased.data());
+                    std::vector<float> want_plain(plain.size());
+                    std::vector<float> want_biased(plain.size());
+                    for (int64_t r = 0; r < rows; ++r)
+                        for (int64_t col = 0; col < n; ++col) {
+                            const float value = colmajor[static_cast<size_t>(
+                                col * chunk + r)];
+                            const auto at = static_cast<size_t>(r * n + col);
+                            want_plain[at] = value;
+                            want_biased[at] =
+                                value + bias[static_cast<size_t>(col)];
+                        }
+                    EXPECT_TRUE(
+                        sameBits(plain.data(), want_plain.data(), rows * n))
+                        << util::simdLevelName(level) << " chunk=" << chunk
+                        << " n=" << n << " rows=" << rows << " (no bias)";
+                    EXPECT_TRUE(
+                        sameBits(biased.data(), want_biased.data(), rows * n))
+                        << util::simdLevelName(level) << " chunk=" << chunk
+                        << " n=" << n << " rows=" << rows << " (bias)";
+                }
+        }
 }
 
 // ---- Property: generic-c float SIMD encode is bit-exact vs scalar ------

@@ -3,7 +3,8 @@
 // table precisions, forced gather variants, and ragged tails; the tile
 // plan's segment partition and per-worker scratch accounting; and the
 // multi-worker engine racing per-tile tasks over MLP / CNN / transformer
-// stage graphs.
+// stage graphs; and the fused width-adapt prologue's cyclic view against
+// explicit WidthAdaptStage nodes.
 
 #include <gtest/gtest.h>
 
@@ -541,6 +542,135 @@ TEST(FrozenModel, AutoTunedTraceEngineEndsFrozen)
     EXPECT_TRUE(result->equals(want))
         << "maxdiff=" << Tensor::maxAbsDiff(*result, want);
     engine.value()->shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Cyclic view: a fused width-adapt prologue encodes its source rows in
+// place (arena column j reads source column j % source width). The fused
+// plan must serve the bits of the unfused one, whose explicit
+// WidthAdaptStage materializes the adapted rows for a plain ArenaStage.
+
+/** Widths at v = 4: 10 -> 37 wraps subspaces (4 does not divide 10) and
+ * leaves a ragged tail (37 % 4); 40 -> 22 truncates with a ragged tail;
+ * 9 -> 64 wraps and replicates past 7 periods; 3 -> 13 is narrower than
+ * one subvector, so every subspace wraps. */
+const std::vector<sim::GemmShape> kAdaptGemms{
+    {4, 12, 10, "a"}, {4, 37, 40, "b"}, {4, 22, 9, "c"},
+    {4, 64, 11, "d"}, {4, 26, 3, "e"},  {4, 13, 5, "f"}};
+
+/** The adapt trace lowered straight to `plan` with the prologue fused
+ * (`fuse`) or left as explicit WidthAdaptStage nodes. */
+serve::FrozenModel
+adaptModel(serve::PlanOptions plan, bool fuse, bool bf16)
+{
+    plan.fuse = fuse;
+    vq::LutPrecision precision;
+    precision.bf16_similarity = bf16;
+    auto model = serve::FrozenModel::fromTrace(kAdaptGemms, freezePq(),
+                                               precision, 91, plan);
+    EXPECT_TRUE(model.ok()) << model.status().toString();
+    return model.take();
+}
+
+/** Every (table, encode) precision pair. */
+std::vector<serve::PlanOptions>
+adaptPlans()
+{
+    std::vector<serve::PlanOptions> plans;
+    for (const auto table :
+         {serve::TablePrecision::Float32, serve::TablePrecision::Int8,
+          serve::TablePrecision::Int4})
+        for (const auto encode : {serve::EncodePrecision::Float32,
+                                  serve::EncodePrecision::Int8}) {
+            serve::PlanOptions plan;
+            plan.table_precision = table;
+            plan.encode_precision = encode;
+            plans.push_back(plan);
+        }
+    return plans;
+}
+
+/** Fused widths adapt inside the arena stages; unfused ones stay
+ * explicit stages. */
+void
+expectAdaptFusion(const serve::FrozenModel &model, bool fused)
+{
+    int64_t adapt_stages = 0, prologues = 0;
+    for (const serve::StagePtr &stage : model.stages()) {
+        adapt_stages += stage->kind() == "width-adapt";
+        if (const auto *gemm =
+                dynamic_cast<const serve::ArenaStage *>(stage.get()))
+            prologues += gemm->adaptInWidth() > 0;
+    }
+    EXPECT_EQ(adapt_stages, fused ? 0 : 5) << model.describe();
+    EXPECT_EQ(prologues, fused ? 5 : 0) << model.describe();
+}
+
+TEST(CyclicView, FusedAdaptMatchesExplicitAdaptBitExact)
+{
+    const int64_t host_chunk =
+        lutboost::simd::shuffleGatherChunkRows(util::simdLevel());
+    const int64_t chunk = host_chunk > 0 ? host_chunk : 32;
+    for (const bool bf16 : {false, true})
+        for (const serve::PlanOptions &plan : adaptPlans()) {
+            const serve::FrozenModel fused = adaptModel(plan, true, bf16);
+            const serve::FrozenModel explicit_adapt =
+                adaptModel(plan, false, bf16);
+            expectAdaptFusion(fused, true);
+            expectAdaptFusion(explicit_adapt, false);
+            // Tiled (auto) and untiled (whole-batch forwardTile)
+            // executors over the fused stages.
+            serve::PlanOptions untiled = plan;
+            untiled.tile_rows = -1;
+            const serve::FrozenModel fused_untiled = fused.withPlan(untiled);
+            for (const int64_t rows :
+                 {int64_t{1}, int64_t{15}, int64_t{16}, int64_t{17},
+                  chunk - 1, chunk, chunk + 1, int64_t{193}}) {
+                const Tensor x = randomRows(rows, 12, 300 + rows);
+                const Tensor want = explicit_adapt.forwardBatch(x);
+                for (const serve::FrozenModel *model :
+                     {&fused, &fused_untiled}) {
+                    const Tensor got = model->forwardBatch(x);
+                    EXPECT_TRUE(got.equals(want))
+                        << fused.describe() << " bf16=" << bf16
+                        << " rows=" << rows << " tiled="
+                        << !model->tilePlan().segments.empty()
+                        << " maxdiff=" << Tensor::maxAbsDiff(got, want);
+                }
+            }
+        }
+}
+
+TEST(CyclicView, ShardedFusedAdaptMatchesExplicitAdaptBitExact)
+{
+    // Untiled, so each fused stage sees the whole batch and shards its
+    // encode (encodeBlock over the cyclic view) and gather across the
+    // engine's workers: 193 rows at 16-row shards is 13 blocks.
+    for (const bool bf16 : {false, true})
+        for (serve::PlanOptions plan : adaptPlans()) {
+            plan.tile_rows = -1;
+            plan.shard_rows = 16;
+            const serve::FrozenModel fused = adaptModel(plan, true, bf16);
+            const serve::FrozenModel explicit_adapt =
+                adaptModel(plan, false, bf16);
+            const Tensor x = randomRows(193, 12, 77);
+            const Tensor want = explicit_adapt.forwardBatch(x);
+
+            serve::EngineOptions options;
+            options.threads = 4;
+            options.max_batch = 256;
+            auto engine = serve::InferenceEngine::create(fused, options);
+            ASSERT_TRUE(engine.ok()) << engine.status().toString();
+            for (int round = 0; round < 3; ++round) {
+                auto result = engine.value()->submit(x);
+                ASSERT_TRUE(result.ok()) << result.status().toString();
+                EXPECT_TRUE(result->equals(want))
+                    << fused.describe() << " bf16=" << bf16 << " round "
+                    << round
+                    << " maxdiff=" << Tensor::maxAbsDiff(*result, want);
+            }
+            engine.value()->shutdown();
+        }
 }
 
 } // namespace
